@@ -13,7 +13,11 @@
 import pytest
 
 from repro.core import aggregate, union
-from repro.core.aggregation import _aggregate_general, _aggregate_static_fast
+from repro.testing.reference import (
+    _aggregate_general,
+    _aggregate_static_fast,
+    aggregate_reference,
+)
 from repro.exploration import (
     EventType,
     ExtendSide,
@@ -84,25 +88,21 @@ class TestMaterializationGranularity:
 
 
 class TestVectorizedEngineAblation:
-    """Algorithm-2 transcription vs. the vectorized production engine —
-    same results (asserted in tests), different constants."""
+    """Algorithm-2 reference vs. the production kernel — same results
+    (asserted in tests), different constants."""
 
     @pytest.mark.parametrize("engine", ["algorithm2", "vectorized"])
     @pytest.mark.parametrize("attr", ["gender", "publications"])
     def test_union_window(self, benchmark, dblp, engine, attr):
-        from repro.core import aggregate_fast
-
         window = dblp.timeline.labels
         sub = union(dblp, window)
-        fn = aggregate if engine == "algorithm2" else aggregate_fast
+        fn = aggregate_reference if engine == "algorithm2" else aggregate
         result = benchmark(fn, sub, [attr], False)
         assert result.total_node_weight() > 0
 
     @pytest.mark.parametrize("engine", ["algorithm2", "vectorized"])
     def test_movielens_varying(self, benchmark, movielens, engine):
-        from repro.core import aggregate_fast
-
         sub = union(movielens, movielens.timeline.labels)
-        fn = aggregate if engine == "algorithm2" else aggregate_fast
+        fn = aggregate_reference if engine == "algorithm2" else aggregate
         result = benchmark(fn, sub, ["rating"], True)
         assert result.total_node_weight() > 0

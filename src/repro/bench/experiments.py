@@ -7,6 +7,11 @@ operator/aggregation combination, and returns an
 CLI and the example scripts render these; the pytest-benchmark suite in
 ``benchmarks/`` measures the same operations with statistical rigor.
 
+Aggregation is timed through the paper's own algorithm
+(:func:`repro.testing.reference.aggregate_reference`: Algorithm 2, or the
+Section 4.2 static path), not the production kernel, so the series stay
+comparable with the paper's figures and with EXPERIMENTS.md.
+
 Interval conventions follow the paper: interval sweeps anchor at the
 first time point and extend right one base point at a time; for the
 difference figures the reference point ``T_new`` is the last time point.
@@ -18,10 +23,11 @@ from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core import TemporalGraph, aggregate, difference, project, union
+from ..core import TemporalGraph, difference, project, union
 from ..errors import ConfigurationError
 from ..materialize import MaterializedStore
 from ..parallel import get_executor
+from ..testing.reference import aggregate_reference
 from .timing import measure
 
 __all__ = [
@@ -74,7 +80,9 @@ def fig5_timepoint_aggregation(
     for time in graph.timeline.labels:
         for attributes in attribute_sets:
             timing = measure(
-                lambda: aggregate(graph, attributes, distinct=True, times=[time]),
+                lambda: aggregate_reference(
+                    graph, attributes, distinct=True, times=[time]
+                ),
                 repeats=repeats,
             )
             result.add(_series_label(attributes), timing.best)
@@ -111,7 +119,7 @@ def fig6_union_aggregation(
         for attributes in attribute_sets:
             for distinct in distinct_modes:
                 agg_timing = measure(
-                    lambda: aggregate(
+                    lambda: aggregate_reference(
                         op_timing.result, attributes, distinct=distinct
                     ),
                     repeats=repeats,
@@ -161,7 +169,9 @@ def fig7_intersection_aggregation(
         op_timing = measure(lambda: project(graph, span), repeats=repeats)
         for attributes in attribute_sets:
             agg_timing = measure(
-                lambda: aggregate(op_timing.result, attributes, distinct=True),
+                lambda: aggregate_reference(
+                    op_timing.result, attributes, distinct=True
+                ),
                 repeats=repeats,
             )
             label = _series_label(attributes)
@@ -200,7 +210,7 @@ def _difference_sweep(
         for attributes in attribute_sets:
             for distinct in distinct_modes:
                 agg_timing = measure(
-                    lambda: aggregate(
+                    lambda: aggregate_reference(
                         op_timing.result, attributes, distinct=distinct
                     ),
                     repeats=repeats,
@@ -278,7 +288,9 @@ def fig10_materialized_union_speedup(
         label = _series_label(attributes)
         for span in spans:
             scratch = measure(
-                lambda: aggregate(union(graph, span), attributes, distinct=False),
+                lambda: aggregate_reference(
+                    union(graph, span), attributes, distinct=False
+                ),
                 repeats=repeats,
             )
             derived = measure(
@@ -372,7 +384,9 @@ def fig11_attribute_rollup_speedup(
         label = f"{_series_label(subset)} from {_series_label(superset)}"
         for time in graph.timeline.labels:
             scratch = measure(
-                lambda: aggregate(graph, subset, distinct=distinct, times=[time]),
+                lambda: aggregate_reference(
+                    graph, subset, distinct=distinct, times=[time]
+                ),
                 repeats=repeats,
             )
             derived = measure(

@@ -4,7 +4,6 @@ attribute aggregation and the evolution graph (Sections 2 and 4)."""
 from .aggregation import (
     AggregateGraph,
     aggregate,
-    aggregate_general,
     check_no_dangling_edges,
     validated_window,
 )
@@ -16,7 +15,6 @@ from .evolution import (
     aggregate_evolution,
     evolution,
 )
-from .fast import AggregationEngine, aggregate_fast, aggregation_engines
 from .filters import attribute_predicate, filter_appearances
 from .graph import GraphIntegrityError, TemporalGraph, TemporalGraphBuilder
 from .intervals import Interval, Timeline
@@ -46,10 +44,6 @@ __all__ = [
     "presence_signature",
     "AggregateGraph",
     "aggregate",
-    "aggregate_general",
-    "aggregate_fast",
-    "aggregation_engines",
-    "AggregationEngine",
     "check_no_dangling_edges",
     "validated_window",
     "aggregate_measure",

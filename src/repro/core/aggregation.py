@@ -1,19 +1,20 @@
-"""Attribute aggregation of temporal graphs (Definition 2.6, Algorithm 2).
+"""Attribute aggregation of temporal graphs (Definition 2.6).
 
 Aggregation groups nodes by the values of one or more attributes and
 builds weighted aggregate nodes/edges with COUNT weights.  Two variants
 exist (Section 2.2):
 
 * **distinct** (``DIST``) — every appearance of an attribute tuple *on the
-  same node* counts once; duplicates are removed before counting
-  (Algorithm 2's ``deduplicate`` steps);
+  same node* counts once (Algorithm 2's ``deduplicate`` steps);
 * **non-distinct** (``ALL``) — every appearance at every time point
   counts.
 
-When every aggregation attribute is static the expensive unpivot /
-deduplicate pipeline is unnecessary, and the implementation switches to
-the fast path of Section 4.2 (direct grouping; for ALL, presence-column
-counts are summed instead of counting long-format rows).
+:func:`aggregate` runs the factorized numpy kernel of
+:mod:`repro.core.fast` for static and time-varying attributes alike.
+The paper's literal Algorithm 2 (unpivot / merge / deduplicate /
+group-count over relational tables) and its Section 4.2 static fast path
+are kept as the differential oracle in :mod:`repro.testing.reference`;
+the Figure 5-9 experiment drivers time that reference.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from ..frames import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
 from ..parallel import Executor, InlineExecutor, get_executor, plan_chunks
+from .fast import check_no_dangling_edges, count_edges, count_nodes, window_cells
 from .graph import TemporalGraph
 from .intervals import TimeSet
 from .operators import ordered_times
@@ -36,36 +36,12 @@ from ..errors import AggregationError, UnknownLabelError
 __all__ = [
     "AggregateGraph",
     "aggregate",
-    "aggregate_general",
     "check_no_dangling_edges",
     "validated_window",
     "AttributeTuple",
     "EdgeKey",
 ]
 
-
-def check_no_dangling_edges(graph: TemporalGraph) -> None:
-    """Raise :class:`AggregationError` if any edge lacks a node row.
-
-    All three aggregation engines share this contract: a dangling edge is
-    a structural defect of the graph and fails loudly, independently of
-    whether the edge happens to be present inside the aggregation window.
-    (The differential fuzz oracle relies on the engines agreeing on
-    errors as much as on weights.)
-
-    The scan goes through the storage backend's ``adjacency_scan``, so
-    it works on any registered layout and names the backend it ran on.
-    """
-    backend = graph.storage
-    for edge, u_row, v_row in backend.adjacency_scan():
-        if u_row < 0 or v_row < 0:
-            u, v = edge  # type: ignore[misc]
-            missing = u if u_row < 0 else v
-            raise AggregationError(
-                f"edge {edge!r} references node {missing!r} absent from "
-                "node presence; the graph has dangling edges "
-                f"(storage backend {backend.name!r})"
-            )
 
 #: One aggregate node: the tuple of attribute values that defines it.
 AttributeTuple = tuple[Any, ...]
@@ -257,15 +233,13 @@ def _node_tuple_table(
     graph: TemporalGraph,
     attributes: Sequence[str],
     times: TimeSet,
-    rows: Iterable[int] | None = None,
 ) -> Table:
     """The long table of ``(node, t, attribute tuple)`` appearances.
 
     One row per (node, time point) where the node is present, carrying the
     node's attribute tuple at that time — the merged, unpivoted ``A'`` of
-    Algorithm 2 (before any deduplication).  ``rows`` restricts the scan
-    to a subset of node row indices (the parallel partials' unit of
-    work); ``None`` scans every node.
+    Algorithm 2 (before any deduplication).  The reference engines, the
+    measure aggregations and the streaming evolution view read it.
     """
     static_names, varying_names = _split_attributes(graph, attributes)
     time_positions = [graph.timeline.index_of(t) for t in times]
@@ -278,10 +252,7 @@ def _node_tuple_table(
         name: graph.varying_attrs[name].values for name in varying_names
     }
     static_values = graph.static_attrs.values
-    node_labels = graph.node_presence.row_labels
-    row_indices = range(len(node_labels)) if rows is None else rows
-    for row_idx in row_indices:
-        node = node_labels[row_idx]
+    for row_idx, node in enumerate(graph.node_presence.row_labels):
         static_part = {
             name: static_values[row_idx, pos]
             for name, pos in static_positions.items()
@@ -299,307 +270,57 @@ def _node_tuple_table(
     return Table(("id", "t", "tuple"), rows_out)
 
 
-def _aggregate_general(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-) -> AggregateGraph:
-    """Algorithm 2: the general path used when a time-varying attribute
-    participates (also correct, just slower, for static-only input)."""
-    metrics = get_metrics()
-    with trace_span("aggregate.unpivot"):
-        node_table = _node_tuple_table(graph, attributes, times)
-    metrics.inc("algo2.unpivot_rows", len(node_table))
-    lookup: dict[tuple[Any, Any], AttributeTuple] = {
-        (node, t): values for node, t, values in node_table.rows
-    }
-    if distinct:
-        with trace_span("aggregate.dedup"):
-            node_table = node_table.deduplicate(["id", "tuple"])
-        metrics.inc("algo2.dedup_rows", len(node_table))
-    with trace_span("aggregate.group_count"):
-        node_weights = {
-            key[0]: count
-            for key, count in node_table.groupby_count(["tuple"]).items()
-        }
-    metrics.inc("algo2.group_count_groups", len(node_weights))
-
-    with trace_span("aggregate.merge"):
-        edge_rows: list[tuple[Any, ...]] = []
-        edge_presence = graph.edge_presence.values
-        time_positions = [graph.timeline.index_of(t) for t in times]
-        check_no_dangling_edges(graph)
-        for row_idx, edge in enumerate(graph.edge_presence.row_labels):
-            u, v = edge  # type: ignore[misc]
-            for t, t_pos in zip(times, time_positions):
-                if not edge_presence[row_idx, t_pos]:
-                    continue
-                source = lookup.get((u, t))
-                target = lookup.get((v, t))
-                if source is None or target is None:
-                    continue  # endpoint absent at t; cannot happen on valid graphs
-                edge_rows.append((edge, source, target))
-        edge_table = Table(("edge", "source", "target"), edge_rows)
-    metrics.inc("algo2.merge_rows", len(edge_table))
-    if distinct:
-        with trace_span("aggregate.dedup"):
-            edge_table = edge_table.deduplicate(["edge", "source", "target"])
-        metrics.inc("algo2.dedup_rows", len(edge_table))
-    with trace_span("aggregate.group_count"):
-        edge_weights = {
-            (key[0], key[1]): count
-            for key, count in edge_table.groupby_count(["source", "target"]).items()
-        }
-    metrics.inc("algo2.group_count_groups", len(edge_weights))
-    return AggregateGraph(tuple(attributes), node_weights, edge_weights, distinct=distinct)
-
-
-def _aggregate_static_fast(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-) -> AggregateGraph:
-    """Section 4.2's optimization for static-only attribute lists.
-
-    No unpivoting and no deduplication: a node has one tuple regardless of
-    time.  DIST counts qualifying nodes/edges once; ALL weights each by
-    its number of presence columns inside ``times`` and sums.
-    """
-    check_no_dangling_edges(graph)
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    node_tuples: dict[Hashable, AttributeTuple] = {
-        node: tuple(static_values[i, p] for p in positions)
-        for i, node in enumerate(graph.node_presence.row_labels)
-    }
-    node_counts = graph.node_presence.count_nonzero_by_row(times)
-    node_weights: dict[AttributeTuple, int] = {}
-    for node, appearances in node_counts.items():
-        if appearances == 0:
-            continue
-        contribution = 1 if distinct else appearances
-        key = node_tuples[node]
-        node_weights[key] = node_weights.get(key, 0) + contribution
-
-    edge_counts = graph.edge_presence.count_nonzero_by_row(times)
-    edge_weights: dict[EdgeKey, int] = {}
-    for edge, appearances in edge_counts.items():
-        if appearances == 0:
-            continue
-        u, v = edge  # type: ignore[misc]
-        contribution = 1 if distinct else appearances
-        key = (node_tuples[u], node_tuples[v])
-        edge_weights[key] = edge_weights.get(key, 0) + contribution
-    return AggregateGraph(tuple(attributes), node_weights, edge_weights, distinct=distinct)
-
-
 # ----------------------------------------------------------------------
-# Parallel partials
+# Parallel partial
 #
-# Both engines decompose over *entity rows*: a node's (or edge's)
+# The kernel decomposes over *entity rows*: a node's (or edge's)
 # contribution to the weight maps depends only on its own presence row
 # and attribute values, and DIST deduplication is always intra-entity
-# (``["id", "tuple"]`` / ``["edge", "source", "target"]`` both carry the
-# entity label).  Partitioning the row range therefore never splits a
-# dedup group across chunks, and partial weight dicts merge by plain
-# summation for DIST and ALL alike — which is what makes the parallel
-# result bit-identical to the serial one.
+# (``(row, tuple)`` keys).  Partitioning the row range therefore never
+# splits a dedup group across chunks, and partial weight dicts merge by
+# plain summation for DIST and ALL alike — which is what makes the
+# parallel result bit-identical to the serial one.
 # ----------------------------------------------------------------------
 
-#: ``(graph, attributes, window, distinct, engine)`` — the read-only
+#: ``(graph, attributes, window positions, distinct)`` — the read-only
 #: payload shared with every partial worker.
-_PartialPayload = tuple[TemporalGraph, tuple[str, ...], TimeSet, bool, str]
+_PartialPayload = tuple[TemporalGraph, tuple[str, ...], tuple[int, ...], bool]
 #: ``(kind, start, stop)`` — one slice of node or edge row indices.
 _PartialTask = tuple[str, int, int]
-
-
-def _general_node_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[AttributeTuple, int]:
-    """Algorithm 2's node pipeline restricted to rows ``[start, stop)``."""
-    metrics = get_metrics()
-    table = _node_tuple_table(graph, attributes, times, rows=range(start, stop))
-    metrics.inc("algo2.unpivot_rows", len(table))
-    if distinct:
-        table = table.deduplicate(["id", "tuple"])
-        metrics.inc("algo2.dedup_rows", len(table))
-    return {
-        key[0]: count for key, count in table.groupby_count(["tuple"]).items()
-    }
-
-
-def _general_edge_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[EdgeKey, int]:
-    """Algorithm 2's merge/count pipeline restricted to edge rows.
-
-    The ``(node, t) -> tuple`` lookup is rebuilt from just the chunk's
-    endpoint node rows, so a chunk's cost scales with its own edges
-    rather than with the whole graph.
-    """
-    metrics = get_metrics()
-    edge_labels = graph.edge_presence.row_labels
-    endpoint_rows: set[int] = set()
-    for row_idx in range(start, stop):
-        u, v = edge_labels[row_idx]  # type: ignore[misc]
-        endpoint_rows.add(graph.node_presence.row_position(u))
-        endpoint_rows.add(graph.node_presence.row_position(v))
-    node_table = _node_tuple_table(
-        graph, attributes, times, rows=sorted(endpoint_rows)
-    )
-    lookup: dict[tuple[Any, Any], AttributeTuple] = {
-        (node, t): values for node, t, values in node_table.rows
-    }
-    edge_presence = graph.edge_presence.values
-    time_positions = [graph.timeline.index_of(t) for t in times]
-    edge_rows: list[tuple[Any, ...]] = []
-    for row_idx in range(start, stop):
-        edge = edge_labels[row_idx]
-        u, v = edge  # type: ignore[misc]
-        for t, t_pos in zip(times, time_positions):
-            if not edge_presence[row_idx, t_pos]:
-                continue
-            source = lookup.get((u, t))
-            target = lookup.get((v, t))
-            if source is None or target is None:
-                continue  # endpoint absent at t; cannot happen on valid graphs
-            edge_rows.append((edge, source, target))
-    table = Table(("edge", "source", "target"), edge_rows)
-    metrics.inc("algo2.merge_rows", len(table))
-    if distinct:
-        table = table.deduplicate(["edge", "source", "target"])
-        metrics.inc("algo2.dedup_rows", len(table))
-    return {
-        (key[0], key[1]): count
-        for key, count in table.groupby_count(["source", "target"]).items()
-    }
-
-
-def _static_node_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[AttributeTuple, int]:
-    """The Section 4.2 node fast path restricted to rows ``[start, stop)``."""
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    time_positions = [graph.node_presence.col_position(t) for t in times]
-    block = graph.node_presence.values[start:stop][:, time_positions]
-    counts = np.count_nonzero(block.astype(bool), axis=1)
-    weights: dict[AttributeTuple, int] = {}
-    for offset in range(stop - start):
-        appearances = int(counts[offset])
-        if appearances == 0:
-            continue
-        row_idx = start + offset
-        key = tuple(static_values[row_idx, p] for p in positions)
-        weights[key] = weights.get(key, 0) + (1 if distinct else appearances)
-    return weights
-
-
-def _static_edge_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[EdgeKey, int]:
-    """The Section 4.2 edge fast path restricted to rows ``[start, stop)``."""
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    node_frame = graph.node_presence
-    edge_labels = graph.edge_presence.row_labels
-    time_positions = [graph.edge_presence.col_position(t) for t in times]
-    block = graph.edge_presence.values[start:stop][:, time_positions]
-    counts = np.count_nonzero(block.astype(bool), axis=1)
-    tuple_cache: dict[Hashable, AttributeTuple] = {}
-
-    def node_tuple(node: Hashable) -> AttributeTuple:
-        cached = tuple_cache.get(node)
-        if cached is None:
-            row = node_frame.row_position(node)
-            cached = tuple_cache[node] = tuple(
-                static_values[row, p] for p in positions
-            )
-        return cached
-
-    weights: dict[EdgeKey, int] = {}
-    for offset in range(stop - start):
-        appearances = int(counts[offset])
-        if appearances == 0:
-            continue
-        u, v = edge_labels[start + offset]  # type: ignore[misc]
-        key = (node_tuple(u), node_tuple(v))
-        weights[key] = weights.get(key, 0) + (1 if distinct else appearances)
-    return weights
 
 
 def _partial_weights(
     payload: _PartialPayload, task: _PartialTask
 ) -> dict[Any, int]:
-    """Chunk worker: the weights contributed by one slice of entity rows.
+    """Chunk worker: the kernel's weights for one slice of entity rows.
 
     Module-level (and closed over nothing) so the process pool can pickle
     it; :class:`~repro.parallel.InlineExecutor` runs the very same
-    function, which is what the parity suite leans on.
+    function, which is what the parity suite leans on.  An edge slice
+    factorizes every node row, since its endpoints may lie anywhere.
     """
-    graph, attributes, times, distinct, engine = payload
+    graph, attributes, positions, distinct = payload
     kind, start, stop = task
-    if engine == "general":
-        if kind == "node":
-            return _general_node_partial(
-                graph, attributes, times, distinct, start, stop
-            )
-        return _general_edge_partial(
-            graph, attributes, times, distinct, start, stop
-        )
     if kind == "node":
-        return _static_node_partial(graph, attributes, times, distinct, start, stop)
-    return _static_edge_partial(graph, attributes, times, distinct, start, stop)
+        cells = window_cells(graph, attributes, positions, start, stop)
+        return count_nodes(cells, distinct)
+    cells = window_cells(graph, attributes, positions)
+    return count_edges(graph, cells, positions, distinct, start, stop)
 
 
 def _aggregate_parallel(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    engine: str,
-    executor: Executor,
-) -> AggregateGraph:
-    """Fan the partial worker out over entity-row slices and merge.
-
-    Structural validation happens parent-side before dispatch so a
-    dangling edge raises the same :class:`AggregationError` whether or
-    not a pool is in play.
-    """
-    check_no_dangling_edges(graph)
-    n_nodes = len(graph.node_presence.row_labels)
-    n_edges = len(graph.edge_presence.row_labels)
+    payload: _PartialPayload, executor: Executor
+) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
+    """Fan the partial worker out over entity-row slices and merge."""
+    graph = payload[0]
     tasks: list[_PartialTask] = [
         ("node", chunk.start, chunk.stop)
-        for chunk in plan_chunks(n_nodes, executor.workers)
+        for chunk in plan_chunks(graph.n_nodes, executor.workers)
     ]
     tasks += [
         ("edge", chunk.start, chunk.stop)
-        for chunk in plan_chunks(n_edges, executor.workers)
+        for chunk in plan_chunks(graph.n_edges, executor.workers)
     ]
-    payload: _PartialPayload = (graph, tuple(attributes), times, distinct, engine)
     partials = executor.map(_partial_weights, tasks, payload)
     node_weights: dict[AttributeTuple, int] = {}
     edge_weights: dict[EdgeKey, int] = {}
@@ -607,13 +328,7 @@ def _aggregate_parallel(
         target: dict[Any, int] = node_weights if kind == "node" else edge_weights
         for key, weight in partial.items():
             target[key] = target.get(key, 0) + weight
-    if engine == "general":
-        get_metrics().inc(
-            "algo2.group_count_groups", len(node_weights) + len(edge_weights)
-        )
-    return AggregateGraph(
-        tuple(attributes), node_weights, edge_weights, distinct=distinct
-    )
+    return node_weights, edge_weights
 
 
 def aggregate(
@@ -650,31 +365,34 @@ def aggregate(
         COUNT-weighted aggregate nodes and edges.
     """
     window = validated_window(graph, attributes, times)
-    _, varying = _split_attributes(graph, attributes)
-    metrics = get_metrics()
-    metrics.inc("aggregate.calls")
-    engine = "general" if varying else "static_fast"
-    n_entities = len(graph.node_presence.row_labels) + len(
-        graph.edge_presence.row_labels
-    )
+    _split_attributes(graph, attributes)  # validates names
+    get_metrics().inc("aggregate.calls")
     executor = get_executor(
-        parallelism, task_hint=n_entities * max(1, len(window))
+        parallelism, task_hint=(graph.n_nodes + graph.n_edges) * max(1, len(window))
     )
     with trace_span(
         "aggregate",
-        engine=engine,
+        engine="kernel",
         distinct=distinct,
         attributes=tuple(attributes),
         n_times=len(window),
         workers=executor.workers,
     ):
-        if not isinstance(executor, InlineExecutor):
-            return _aggregate_parallel(
-                graph, attributes, window, distinct, engine, executor
+        positions = tuple(graph.timeline.index_of(t) for t in window)
+        if isinstance(executor, InlineExecutor):
+            cells = window_cells(graph, attributes, positions)
+            edge_weights = count_edges(graph, cells, positions, distinct)
+            node_weights = count_nodes(cells, distinct)
+        else:
+            # Validated parent-side, so a dangling edge raises the same
+            # error whether or not a pool is in play.
+            check_no_dangling_edges(graph, window)
+            node_weights, edge_weights = _aggregate_parallel(
+                (graph, tuple(attributes), positions, distinct), executor
             )
-        if varying:
-            return _aggregate_general(graph, attributes, window, distinct)
-        return _aggregate_static_fast(graph, attributes, window, distinct)
+        return AggregateGraph(
+            tuple(attributes), node_weights, edge_weights, distinct=distinct
+        )
 
 
 def validated_window(
@@ -696,32 +414,3 @@ def validated_window(
     if times is None:
         return graph.timeline.labels
     return ordered_times(graph, times)
-
-
-def aggregate_general(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    distinct: bool = True,
-    times: Iterable[Hashable] | None = None,
-) -> AggregateGraph:
-    """Algorithm 2's general path, forced even for static-only attributes.
-
-    :func:`aggregate` switches to the Section 4.2 fast path when every
-    aggregation attribute is static; this entry point always runs the
-    unpivot / merge / deduplicate / group-count pipeline instead.  Both
-    must produce identical aggregates — the differential fuzz oracle
-    (:mod:`repro.testing`) runs workloads through this engine, the
-    dispatching one, and :func:`repro.core.aggregate_fast` and diffs the
-    results bit-exactly.
-    """
-    window = validated_window(graph, attributes, times)
-    _split_attributes(graph, attributes)  # validates names
-    get_metrics().inc("aggregate.calls")
-    with trace_span(
-        "aggregate",
-        engine="general_forced",
-        distinct=distinct,
-        attributes=tuple(attributes),
-        n_times=len(window),
-    ):
-        return _aggregate_general(graph, attributes, window, distinct)

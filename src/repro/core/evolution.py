@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .aggregation import AttributeTuple, EdgeKey, _node_tuple_table
+from .fast import evolution_counts
 from .graph import TemporalGraph
 from .intervals import TimeSet
 from .operators import difference, intersection, ordered_times
@@ -211,7 +212,12 @@ def _appearance_sets(
     set[tuple[Hashable, AttributeTuple]],
     set[tuple[tuple[Hashable, Hashable], EdgeKey]],
 ]:
-    """Distinct (entity, tuple) appearances over a time window."""
+    """Distinct (entity, tuple) appearances over a time window.
+
+    The set form the delta-maintained
+    :class:`repro.streaming.EvolutionView` keeps; the evolution kernel
+    (:func:`repro.core.fast.evolution_counts`) is diffed against it.
+    """
     node_table = _node_tuple_table(graph, attributes, times)
     node_appearances = {(node, values) for node, _, values in node_table.rows}
     lookup = {(node, t): values for node, t, values in node_table.rows}
@@ -239,10 +245,9 @@ def _weights_from_appearances(
 
     The unit of counting is the appearance: stability for pairs in both
     windows, growth for new-only, shrinkage for old-only, each keyed by
-    the appearance's attribute tuple.  Shared by
-    :func:`aggregate_evolution` and the delta-maintained
-    :class:`repro.streaming.EvolutionView`, so both produce bit-identical
-    weights from identical sets.
+    the appearance's attribute tuple.  Used by the delta-maintained
+    :class:`repro.streaming.EvolutionView` and by
+    :func:`repro.testing.reference.aggregate_evolution_reference`.
     """
     counters: dict[Any, dict[str, int]] = {}
 
@@ -258,6 +263,23 @@ def _weights_from_appearances(
     return {key: EvolutionWeights(**counts) for key, counts in counters.items()}
 
 
+def _evolution_windows(
+    graph: TemporalGraph,
+    old_times: Iterable[Hashable],
+    new_times: Iterable[Hashable],
+    attributes: Sequence[str],
+) -> tuple[TimeSet, TimeSet]:
+    """Validated, timeline-ordered ``(old, new)`` windows of an evolution
+    aggregation."""
+    if not attributes:
+        raise ValidationError("evolution aggregation needs at least one attribute")
+    old = ordered_times(graph, old_times)
+    new = ordered_times(graph, new_times)
+    if not old or not new:
+        raise ValidationError("evolution aggregation requires two non-empty time sets")
+    return old, new
+
+
 def aggregate_evolution(
     graph: TemporalGraph,
     old_times: Iterable[Hashable],
@@ -270,23 +292,20 @@ def aggregate_evolution(
     windows scores *stability* for its tuple; one occurring only in the
     old window scores *shrinkage*; only in the new window, *growth*.
     Counting is distinct (each appearance once), matching the weights the
-    paper reads off Figures 4b and 12.
+    paper reads off Figures 4b and 12.  The counts come from the
+    factorized kernel (:func:`repro.core.fast.evolution_counts`).
     """
-    if not attributes:
-        raise ValidationError("evolution aggregation needs at least one attribute")
-    old = ordered_times(graph, old_times)
-    new = ordered_times(graph, new_times)
-    if not old or not new:
-        raise ValidationError("evolution aggregation requires two non-empty time sets")
-    old_nodes, old_edges = _appearance_sets(graph, attributes, old)
-    new_nodes, new_edges = _appearance_sets(graph, attributes, new)
-    node_weights = _weights_from_appearances(old_nodes, new_nodes)
-    edge_weights = _weights_from_appearances(old_edges, new_edges)
-
+    old, new = _evolution_windows(graph, old_times, new_times, attributes)
+    node_counts, edge_counts = evolution_counts(
+        graph,
+        attributes,
+        [graph.timeline.index_of(t) for t in old],
+        [graph.timeline.index_of(t) for t in new],
+    )
     return EvolutionAggregate(
         attributes=tuple(attributes),
         old_times=old,
         new_times=new,
-        node_weights=node_weights,
-        edge_weights=edge_weights,
+        node_weights={k: EvolutionWeights(*w) for k, w in node_counts.items()},
+        edge_weights={k: EvolutionWeights(*w) for k, w in edge_counts.items()},
     )

@@ -1,260 +1,232 @@
-"""A vectorized aggregation engine.
+"""The factorized numpy kernel behind aggregation and evolution.
 
-:func:`repro.core.aggregate` transcribes the paper's Algorithm 2
-literally (unpivot / merge / deduplicate / group-count over relational
-tables) — that fidelity is the point of the default engine, and it is
-what the Figure 5-9 benchmarks time.  This module provides the engine a
-production deployment would actually run: attribute values are
-factorized to integer codes once, appearances become flat numpy index
-arrays, and DIST/ALL counting reduces to ``numpy.unique`` and
-``numpy.bincount``.
-
-The two engines are exchangeable: ``aggregate_fast`` returns the same
-:class:`~repro.core.AggregateGraph` (asserted across the test suite and
-hypothesis properties), and the ``bench_ablations`` suite measures the
-gap (roughly an order of magnitude on the evaluation graphs).
+:func:`repro.core.aggregate` and :func:`repro.core.aggregate_evolution`
+run here.  For one window the kernel finds the present node cells with
+``np.nonzero``, factorizes attribute values at those cells only into one
+dense *tuple code* per cell, counts DIST over distinct ``(row, code)``
+keys and ALL with ``np.bincount``, resolves edges through the storage
+backend's int32 ``endpoint_rows``, and decodes only the distinct output
+keys.  The paper's literal Algorithm 2 is the oracle it is diffed
+against (:mod:`repro.testing.reference`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Any, Protocol
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .aggregation import (
-    AggregateGraph,
-    AttributeTuple,
-    EdgeKey,
-    _split_attributes,
-    aggregate,
-    aggregate_general,
-    validated_window,
-)
-from .graph import TemporalGraph
-from .intervals import TimeSet
 from ..errors import AggregationError
-from ..obs.metrics import get_metrics
-from ..obs.trace import trace_span
+from .graph import TemporalGraph
 
-__all__ = ["aggregate_fast", "AggregationEngine", "aggregation_engines"]
+__all__ = [
+    "WindowCells",
+    "window_cells",
+    "count_nodes",
+    "count_edges",
+    "evolution_counts",
+    "check_no_dangling_edges",
+]
 
-
-class AggregationEngine(Protocol):
-    """The call signature every interchangeable aggregation engine has."""
-
-    def __call__(
-        self,
-        graph: TemporalGraph,
-        attributes: Sequence[str],
-        distinct: bool = True,
-        times: Iterable[Hashable] | None = None,
-    ) -> AggregateGraph: ...
-
-#: Code reserved for "no value" cells so absent appearances never collide
-#: with a real attribute value.
-_MISSING = 0
+#: Mixed-radix tuple keys are re-densified before they could overflow.
+_KEY_LIMIT = 2**62
 
 
-def _factorize_static(
-    graph: TemporalGraph, name: str, n_times: int
-) -> tuple[np.ndarray, list[Any]]:
-    """Integer codes (n_nodes x n_times) for a static attribute."""
-    column = graph.static_attrs.column(name)
-    mapping: dict[Any, int] = {}
-    codes = np.empty(len(column), dtype=np.int64)
-    values: list[Any] = []
-    for i, value in enumerate(column):
-        code = mapping.get(value)
-        if code is None:
-            code = len(values) + 1  # 0 is the missing sentinel
-            mapping[value] = code
-            values.append(value)
-        codes[i] = code
-    return np.repeat(codes[:, None], n_times, axis=1), values
+@dataclass(frozen=True)
+class WindowCells:
+    """The present node cells of a window: node ``rows`` and window
+    ``cols``, each cell's tuple ``codes``, the attribute tuple of each
+    code, and ``grid`` -- the code at every ``(node row, column)``, ``-1``
+    where the node is absent."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    codes: np.ndarray
+    tuples: list[tuple[Any, ...]]
+    grid: np.ndarray
 
 
-def _factorize_varying(
-    graph: TemporalGraph, name: str, time_positions: Sequence[int]
-) -> tuple[np.ndarray, list[Any]]:
-    """Integer codes (n_nodes x window) for a time-varying attribute."""
-    raw = graph.varying_attrs[name].values[:, time_positions]
-    mapping: dict[Any, int] = {}
-    values: list[Any] = []
-    codes = np.empty(raw.shape, dtype=np.int64)
-    flat_raw = raw.ravel()
-    flat_codes = codes.ravel()
-    for i, value in enumerate(flat_raw):
-        if value is None:
-            flat_codes[i] = _MISSING
-            continue
-        code = mapping.get(value)
-        if code is None:
-            code = len(values) + 1
-            mapping[value] = code
-            values.append(value)
-        flat_codes[i] = code
-    return codes, values
+def _factorize(values: Iterable[Any]) -> tuple[np.ndarray, list[Any]]:
+    """Dense codes in first-seen order, and the value of each code."""
+    items = list(values)
+    index = {value: code for code, value in enumerate(dict.fromkeys(items))}
+    codes = np.fromiter(map(index.__getitem__, items), np.int64, len(items))
+    return codes, list(index)
 
 
-def aggregate_fast(
+def window_cells(
     graph: TemporalGraph,
     attributes: Sequence[str],
-    distinct: bool = True,
-    times: Iterable[Hashable] | None = None,
-) -> AggregateGraph:
-    """Drop-in vectorized equivalent of :func:`repro.core.aggregate`."""
-    # Same validation/normalization as the literal engine: timeline
-    # order, no duplicates, so ALL mode cannot double-count repeated
-    # points.
-    window: TimeSet = validated_window(graph, attributes, times)
-    _split_attributes(graph, attributes)  # validates names
-    get_metrics().inc("aggregate_fast.calls")
-    with trace_span(
-        "aggregate_fast",
-        distinct=distinct,
-        attributes=tuple(attributes),
-        n_times=len(window),
-    ):
-        return _aggregate_fast_impl(graph, attributes, distinct, window)
-
-
-def _position(
-    node_pos: dict[Hashable, int], edge: Hashable, node: Hashable
-) -> int:
-    """Node's row position; dangling edges raise instead of KeyError."""
-    pos = node_pos.get(node)
-    if pos is None:
-        raise AggregationError(
-            f"edge {edge!r} references node {node!r} absent from "
-            "node presence; the graph has dangling edges"
-        )
-    return pos
-
-
-def _aggregate_fast_impl(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    distinct: bool,
-    window: TimeSet,
-) -> AggregateGraph:
-    time_positions = [graph.timeline.index_of(t) for t in window]
-    n_times = len(time_positions)
-
-    # Factorize every attribute to codes over the window; combine into a
-    # single mixed-radix tuple code per (node, time) cell.
-    code_layers: list[np.ndarray] = []
-    value_tables: list[list[Any]] = []
-    radices: list[int] = []
+    positions: Sequence[int],
+    start: int = 0,
+    stop: int | None = None,
+) -> WindowCells:
+    """Factorize the attribute tuples of the nodes present at timeline
+    ``positions``, scanning node rows ``[start, stop)``.  A present node
+    whose time-varying value is ``None`` carries ``None`` in its tuple."""
+    at = np.asarray(positions, dtype=np.intp)
+    rows, cols = np.nonzero(graph.node_presence.values[start:stop][:, at])
+    rows += start
+    key, bound = np.zeros(rows.size, dtype=np.int64), 1
+    layers = []
     for name in attributes:
         if graph.is_static(name):
-            codes, values = _factorize_static(graph, name, n_times)
+            column = graph.static_attrs.column(name)
+            present, inverse = np.unique(rows, return_inverse=True)
+            codes, values = _factorize(column[present])
+            codes = codes[inverse]
         else:
-            codes, values = _factorize_varying(graph, name, time_positions)
-        code_layers.append(codes)
-        value_tables.append(values)
-        radices.append(len(values) + 1)
+            codes, values = _factorize(graph.varying_attrs[name].values[rows, at[cols]])
+        layers.append((codes, values))
+        radix = max(len(values), 1)
+        if bound > _KEY_LIMIT // radix:
+            key, bound = np.unique(key, return_inverse=True)[1], rows.size
+        key, bound = key * radix + codes, bound * radix
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    columns = [[values[c] for c in layer[first].tolist()] for layer, values in layers]
+    grid = np.full((graph.n_nodes, at.size), -1, dtype=np.int64)
+    grid[rows, cols] = codes
+    return WindowCells(rows, cols, codes, list(zip(*columns)), grid)
 
-    combined = np.zeros(
-        (graph.n_nodes, n_times), dtype=np.int64
-    )
-    for codes, radix in zip(code_layers, radices):
-        combined = combined * radix + codes
 
-    def decode(code: int) -> AttributeTuple:
-        parts: list[Any] = []
-        remaining = int(code)
-        for radix, values in zip(reversed(radices), reversed(value_tables)):
-            remaining, digit = divmod(remaining, radix)
-            parts.append(values[digit - 1])
-        return tuple(reversed(parts))
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (a sort beats numpy's hashing ``unique`` here)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
 
-    presence = graph.node_presence.values[:, time_positions].astype(bool)
-    # A present node may still miss a varying value; require all layers.
-    for codes in code_layers:
-        presence &= codes != _MISSING
 
-    code_ceiling = int(combined.max()) + 1 if combined.size else 1
-    node_rows, node_cols = np.nonzero(presence)
-    appearance_codes = combined[node_rows, node_cols]
+def _count(
+    entities: np.ndarray, codes: np.ndarray, labels: list[Any], distinct: bool
+) -> dict[Any, int]:
+    """COUNT per label; DIST counts each ``(entity, code)`` once."""
     if distinct:
-        pair = node_rows.astype(np.int64) * code_ceiling + appearance_codes
-        _, keep = np.unique(pair, return_index=True)
-        unique_codes = appearance_codes[keep]
-        codes_for_count = unique_codes
-    else:
-        codes_for_count = appearance_codes
-    unique, counts = np.unique(codes_for_count, return_counts=True)
-    node_weights = {
-        decode(code): int(count) for code, count in zip(unique, counts)
-    }
+        n = max(len(labels), 1)
+        codes = _distinct(entities * n + codes) % n
+    counts = np.bincount(codes, minlength=len(labels)).tolist()
+    return {label: count for label, count in zip(labels, counts) if count}
 
-    edge_presence = graph.edge_presence.values[:, time_positions].astype(bool)
-    node_pos = {n: i for i, n in enumerate(graph.node_presence.row_labels)}
-    if graph.n_edges:
-        sources = np.fromiter(
-            (
-                _position(node_pos, edge, edge[0])  # type: ignore[index]
-                for edge in graph.edge_presence.row_labels
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
-        targets = np.fromiter(
-            (
-                _position(node_pos, edge, edge[1])  # type: ignore[index]
-                for edge in graph.edge_presence.row_labels
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
-    else:
-        sources = np.empty(0, dtype=np.int64)
-        targets = np.empty(0, dtype=np.int64)
 
-    edge_rows, edge_cols = np.nonzero(edge_presence)
-    source_idx = sources[edge_rows]
-    target_idx = targets[edge_rows]
-    valid = presence[source_idx, edge_cols] & presence[target_idx, edge_cols]
-    edge_rows, edge_cols = edge_rows[valid], edge_cols[valid]
-    source_idx, target_idx = source_idx[valid], target_idx[valid]
-    source_codes = combined[source_idx, edge_cols]
-    target_codes = combined[target_idx, edge_cols]
-    pair_radix = code_ceiling
-    pair_codes = source_codes * pair_radix + target_codes
-    if distinct:
-        dedup_key = edge_rows.astype(np.int64) * (
-            pair_radix * pair_radix
-        ) + pair_codes
-        _, keep = np.unique(dedup_key, return_index=True)
-        pair_for_count = pair_codes[keep]
-    else:
-        pair_for_count = pair_codes
-    unique_pairs, pair_counts = np.unique(pair_for_count, return_counts=True)
-    edge_weights: dict[EdgeKey, int] = {}
-    for code, count in zip(unique_pairs, pair_counts):
-        source_code, target_code = divmod(int(code), pair_radix)
-        edge_weights[(decode(source_code), decode(target_code))] = int(count)
+def count_nodes(cells: WindowCells, distinct: bool) -> dict[tuple[Any, ...], int]:
+    """Node weights over the scanned cells."""
+    return _count(cells.rows, cells.codes, cells.tuples, distinct)
 
-    return AggregateGraph(
-        tuple(attributes), node_weights, edge_weights, distinct=distinct
+
+def _dangling_error(graph: TemporalGraph, row: int) -> AggregationError:
+    backend = graph.storage
+    edge = backend.edge_labels[row]
+    if not (isinstance(edge, tuple) and len(edge) == 2):
+        problem = "is not a (source, target) pair"
+    else:
+        missing = edge[0] if backend.endpoint_rows()[0][row] < 0 else edge[1]
+        problem = f"references node {missing!r} absent from node presence"
+    return AggregationError(
+        f"edge {edge!r} {problem}; the graph has dangling edges "
+        f"(storage backend {backend.name!r})"
     )
 
 
-#: The interchangeable aggregation engines, keyed by name.  ``algo2`` is
-#: the dispatching literal transcription (static fast path when it
-#: applies), ``general`` forces Algorithm 2's unpivot pipeline, and
-#: ``fast`` is this module's vectorized implementation.  All three must
-#: produce identical aggregates — and raise the same taxonomy errors —
-#: on every input; the differential fuzz oracle (``repro.testing``)
-#: enforces this continuously on random graphs.
-_ENGINES: dict[str, AggregationEngine] = {
-    "algo2": aggregate,
-    "general": aggregate_general,
-    "fast": aggregate_fast,
-}
+def check_no_dangling_edges(
+    graph: TemporalGraph, times: Sequence[Hashable] | None = None
+) -> None:
+    """Raise :class:`AggregationError` if an edge present in the window
+    (``None``: the whole timeline) lacks a node row.
+
+    The rule every aggregation engine shares: an aggregate raises if and
+    only if a dangling edge is present in the aggregated window, so
+    aggregating in place over a window fails exactly when aggregating
+    the window's union graph does.  Reads the storage backend's
+    ``endpoint_rows`` and names the backend in the error.
+    """
+    src, dst = graph.storage.endpoint_rows()
+    dangling = ((src < 0) | (dst < 0)) & graph.presence_mask("edges", times, "any")
+    if dangling.any():
+        raise _dangling_error(graph, int(np.argmax(dangling)))
 
 
-def aggregation_engines() -> dict[str, AggregationEngine]:
-    """A copy of the engine registry (name -> drop-in callable)."""
-    return dict(_ENGINES)
+def _edge_cells(
+    graph: TemporalGraph,
+    cells: WindowCells,
+    positions: Sequence[int],
+    strict: bool,
+    start: int = 0,
+    stop: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Any]]:
+    """``(edge rows, cols, pair codes, pairs)`` of the present cells of
+    edge rows ``[start, stop)`` whose endpoints are both present.
+
+    ``cells`` must cover every node row.  A dangling edge present in the
+    window raises when ``strict`` and is dropped otherwise.
+    """
+    block = graph.edge_presence.values[start:stop][:, np.asarray(positions, np.intp)]
+    erows, ecols = np.nonzero(block)
+    erows += start
+    src, dst = (rows[erows] for rows in graph.storage.endpoint_rows())
+    resolved = (src >= 0) & (dst >= 0)
+    if strict and not resolved.all():
+        raise _dangling_error(graph, int(erows[np.argmin(resolved)]))
+    erows, ecols = erows[resolved], ecols[resolved]
+    source = cells.grid[src[resolved], ecols]
+    target = cells.grid[dst[resolved], ecols]
+    present = (source >= 0) & (target >= 0)
+    n = max(len(cells.tuples), 1)
+    unique, codes = np.unique(source[present] * n + target[present], return_inverse=True)
+    tuples = cells.tuples
+    pairs = [(tuples[s], tuples[t]) for s, t in zip(unique // n, unique % n)]
+    return erows[present], ecols[present], codes, pairs
+
+
+def count_edges(
+    graph: TemporalGraph,
+    cells: WindowCells,
+    positions: Sequence[int],
+    distinct: bool,
+    start: int = 0,
+    stop: int | None = None,
+) -> dict[tuple[tuple[Any, ...], tuple[Any, ...]], int]:
+    """Edge weights of edge rows ``[start, stop)`` over the window."""
+    erows, _, codes, pairs = _edge_cells(graph, cells, positions, True, start, stop)
+    return _count(erows, codes, pairs, distinct)
+
+
+def _events(
+    entities: np.ndarray,
+    codes: np.ndarray,
+    in_old: np.ndarray,
+    in_new: np.ndarray,
+    labels: list[Any],
+) -> dict[Any, tuple[int, int, int]]:
+    """``(stability, growth, shrinkage)`` per label from the
+    ``(entity, code)`` appearances seen in the old and new window."""
+    n = max(len(labels), 1)
+    keys = entities * n + codes
+    old, new = _distinct(keys[in_old]), _distinct(keys[in_new])
+    kinds = (
+        np.intersect1d(old, new, assume_unique=True),
+        np.setdiff1d(new, old, assume_unique=True),
+        np.setdiff1d(old, new, assume_unique=True),
+    )
+    counts = [np.bincount(k % n, minlength=len(labels)).tolist() for k in kinds]
+    return {label: w for label, w in zip(labels, zip(*counts)) if any(w)}
+
+
+def evolution_counts(
+    graph: TemporalGraph,
+    attributes: Sequence[str],
+    old_positions: Sequence[int],
+    new_positions: Sequence[int],
+) -> tuple[dict[Any, tuple[int, int, int]], dict[Any, tuple[int, int, int]]]:
+    """Node and edge ``(stability, growth, shrinkage)`` counts between two
+    windows (Fig. 4b): ``(entity row, tuple code)`` appearances keyed with
+    one code table over both windows.  An edge with a dangling or absent
+    endpoint contributes no appearance."""
+    positions = sorted(set(old_positions) | set(new_positions))
+    in_old = np.isin(positions, list(old_positions))
+    in_new = np.isin(positions, list(new_positions))
+    cells = window_cells(graph, attributes, positions)
+    erows, ecols, codes, pairs = _edge_cells(graph, cells, positions, False)
+    nodes = _events(
+        cells.rows, cells.codes, in_old[cells.cols], in_new[cells.cols], cells.tuples
+    )
+    return nodes, _events(erows, codes, in_old[ecols], in_new[ecols], pairs)

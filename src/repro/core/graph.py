@@ -132,26 +132,25 @@ class TemporalGraph:
                 )
 
     def _check_integrity(self) -> None:
-        node_set = set(self.node_presence.row_labels)
-        node_values = self.node_presence.values.astype(bool)
-        node_pos = {n: i for i, n in enumerate(self.node_presence.row_labels)}
-        for edge, presence in self.edge_presence.iter_rows():
+        from ..storage.base import resolve_endpoint_rows
+
+        edges = self.edge_presence.row_labels
+        src, dst = resolve_endpoint_rows(self.node_presence.row_labels, edges)
+        unresolved = np.flatnonzero((src < 0) | (dst < 0))
+        if unresolved.size:
+            edge = edges[unresolved[0]]
             if not (isinstance(edge, tuple) and len(edge) == 2):
                 raise GraphIntegrityError(
                     f"edge labels must be (u, v) tuples, got {edge!r}"
                 )
-            u, v = edge
-            if u not in node_set or v not in node_set:
-                raise GraphIntegrityError(
-                    f"edge {edge!r} references a node missing from V"
-                )
-            active = np.asarray(presence, dtype=bool)
-            if (active & ~node_values[node_pos[u]]).any() or (
-                active & ~node_values[node_pos[v]]
-            ).any():
-                raise GraphIntegrityError(
-                    f"edge {edge!r} is active at a time its endpoints are not"
-                )
+            raise GraphIntegrityError(f"edge {edge!r} references a node missing from V")
+        nodes = self.node_presence.values.astype(bool)
+        orphaned = self.edge_presence.values.astype(bool) & ~(nodes[src] & nodes[dst])
+        if orphaned.any():
+            edge = edges[np.flatnonzero(orphaned.any(axis=1))[0]]
+            raise GraphIntegrityError(
+                f"edge {edge!r} is active at a time its endpoints are not"
+            )
 
     # ------------------------------------------------------------------
     # Storage substrate (repro.storage)
@@ -333,21 +332,36 @@ class TemporalGraph:
         The temporal operators of Section 2.1 all reduce to choosing a
         node mask, an edge mask and a time window; this method applies the
         choice consistently across every stored array (presence matrices,
-        static and time-varying attribute arrays).
+        static and time-varying attribute arrays).  The label-based form
+        of :meth:`take`.
         """
-        timeline = Timeline(times)
+        return self.take(
+            [self.node_presence.row_position(n) for n in nodes],
+            [self.edge_presence.row_position(e) for e in edges],
+            times,
+            validate,
+        )
+
+    def take(
+        self,
+        node_rows: Sequence[int],
+        edge_rows: Sequence[int],
+        times: Sequence[Hashable],
+        validate: bool = False,
+    ) -> "TemporalGraph":
+        """:meth:`restricted` by node and edge row *positions*."""
         return TemporalGraph(
-            timeline=timeline,
-            node_presence=self.node_presence.select_rows(nodes).restrict_cols(times),
-            edge_presence=self.edge_presence.select_rows(edges).restrict_cols(times),
-            static_attrs=self.static_attrs.select_rows(nodes),
+            timeline=Timeline(times),
+            node_presence=self.node_presence.take(node_rows, times),
+            edge_presence=self.edge_presence.take(edge_rows, times),
+            static_attrs=self.static_attrs.take(node_rows),
             varying_attrs={
-                name: frame.select_rows(nodes).restrict_cols(times)
+                name: frame.take(node_rows, times)
                 for name, frame in self.varying_attrs.items()
             },
             validate=validate,
             edge_attrs=(
-                self.edge_attrs.select_rows(edges)
+                self.edge_attrs.take(edge_rows)
                 if self.edge_attrs is not None
                 else None
             ),

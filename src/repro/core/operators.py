@@ -90,13 +90,7 @@ def _restrict_by_masks(
     edge_mask: np.ndarray,
     times: TimeSet,
 ) -> TemporalGraph:
-    nodes = [
-        n for n, keep in zip(graph.node_presence.row_labels, node_mask) if keep
-    ]
-    edges = [
-        e for e, keep in zip(graph.edge_presence.row_labels, edge_mask) if keep
-    ]
-    return graph.restricted(nodes, edges, times)
+    return graph.take(np.flatnonzero(node_mask), np.flatnonzero(edge_mask), times)
 
 
 def project(graph: TemporalGraph, times: Iterable[Hashable]) -> TemporalGraph:
@@ -189,17 +183,10 @@ def difference(
         edge_mask = graph.presence_mask("edges", first) & graph.presence_mask(
             "edges", second, "none"
         )
-        kept_endpoints: set[Hashable] = set()
-        for edge, keep in zip(graph.edge_presence.row_labels, edge_mask):
-            if keep:
-                u, v = edge  # type: ignore[misc]
-                kept_endpoints.add(u)
-                kept_endpoints.add(v)
-        endpoint_mask = np.fromiter(
-            (n in kept_endpoints for n in graph.node_presence.row_labels),
-            dtype=bool,
-            count=graph.n_nodes,
-        )
+        src, dst = graph.storage.endpoint_rows()
+        endpoints = np.concatenate([src[edge_mask], dst[edge_mask]])
+        endpoint_mask = np.zeros(graph.n_nodes, dtype=bool)
+        endpoint_mask[endpoints[endpoints >= 0]] = True
         node_mask = graph.presence_mask("nodes", first) & (
             graph.presence_mask("nodes", second, "none") | endpoint_mask
         )

@@ -59,20 +59,18 @@ def check_graph(graph: TemporalGraph) -> list[Finding]:
     warnings: list[Finding] = []
     infos: list[Finding] = []
 
-    node_pos = {n: i for i, n in enumerate(graph.node_presence.row_labels)}
     node_values = graph.node_presence.values.astype(bool)
     edge_values = graph.edge_presence.values.astype(bool)
+    edges = graph.edge_presence.row_labels
 
     # --- errors ---------------------------------------------------------
-    # The dangling scan goes through the storage backend's adjacency
-    # index, so it audits whichever physical layout the graph uses and
-    # the finding names that backend.
+    # The dangling scan reads the storage backend's endpoint rows, so it
+    # audits whichever physical layout the graph uses and the finding
+    # names that backend.
     backend = graph.storage
-    dangling = [
-        edge
-        for edge, u_row, v_row in backend.adjacency_scan()
-        if u_row < 0 or v_row < 0
-    ]
+    src, dst = backend.endpoint_rows()
+    resolved = (src >= 0) & (dst >= 0)
+    dangling = [edges[row] for row in np.flatnonzero(~resolved)]
     if dangling:
         errors.append(
             Finding(
@@ -83,17 +81,9 @@ def check_graph(graph: TemporalGraph) -> list[Finding]:
             )
         )
 
-    # Set membership: the list scan was O(|E| * |dangling|) on graphs
-    # where most edges dangle (e.g. a node file that failed to load).
-    dangling_set = set(dangling)
-    orphaned_activity = []
-    for row, edge in enumerate(graph.edge_presence.row_labels):
-        if edge in dangling_set:
-            continue
-        u, v = edge  # type: ignore[misc]
-        bad = edge_values[row] & ~(node_values[node_pos[u]] & node_values[node_pos[v]])
-        if bad.any():
-            orphaned_activity.append(edge)
+    rows = np.flatnonzero(resolved)
+    orphaned = edge_values[rows] & ~(node_values[src[rows]] & node_values[dst[rows]])
+    orphaned_activity = [edges[row] for row in rows[orphaned.any(axis=1)]]
     if orphaned_activity:
         errors.append(
             Finding(

@@ -84,8 +84,18 @@ class LabeledFrame:
                 f"({len(self._row_labels)}, {len(self._col_labels)})"
             )
         self._values = array
-        self._row_index = _build_index(self._row_labels, "row")
+        self._row_index: dict[Hashable, int] | None = _build_index(
+            self._row_labels, "row"
+        )
         self._col_index = _build_index(self._col_labels, "column")
+
+    def _rows(self) -> dict[Hashable, int]:
+        """Row label -> position (built lazily after :meth:`take`)."""
+        if self._row_index is None:
+            self._row_index = {
+                label: row for row, label in enumerate(self._row_labels)
+            }
+        return self._row_index
 
     # ------------------------------------------------------------------
     # Constructors
@@ -170,7 +180,7 @@ class LabeledFrame:
         return len(self._col_labels)
 
     def has_row(self, label: Hashable) -> bool:
-        return label in self._row_index
+        return label in self._rows()
 
     def has_col(self, label: Hashable) -> bool:
         return label in self._col_index
@@ -178,7 +188,7 @@ class LabeledFrame:
     def row_position(self, label: Hashable) -> int:
         """Storage position of a row label."""
         try:
-            return self._row_index[label]
+            return self._rows()[label]
         except KeyError:
             raise LabelError(f"unknown row label: {label!r}") from None
 
@@ -237,10 +247,37 @@ class LabeledFrame:
 
     def select_rows(self, rows: Sequence[Hashable]) -> "LabeledFrame":
         """A new frame keeping only the given rows, in the given order."""
-        positions = [self.row_position(r) for r in rows]
-        return LabeledFrame(
-            tuple(rows), self._col_labels, self._values[positions].copy()
-        )
+        return self.take([self.row_position(r) for r in rows])
+
+    def take(
+        self, rows: Sequence[int], cols: Sequence[Hashable] | None = None
+    ) -> "LabeledFrame":
+        """A new frame keeping the rows at the given *positions*, in the
+        given order, and optionally only the given columns (in order).
+
+        The positional counterpart of :meth:`select_rows` +
+        :meth:`restrict_cols`, in one copy: the temporal operators take
+        the ``np.flatnonzero`` positions of their presence masks.
+        """
+        positions = np.asarray(rows, dtype=np.intp)
+        labels = tuple(map(self._row_labels.__getitem__, positions.tolist()))
+        if cols is None:
+            col_labels, values = self._col_labels, self._values[positions]
+        else:
+            col_labels = tuple(cols)
+            values = self._values[
+                np.ix_(positions, [self.col_position(c) for c in cols])
+            ]
+        if positions.size > 1 and not (np.diff(positions) > 0).all():
+            # Unordered (possibly repeated) positions: validate labels.
+            return LabeledFrame(labels, col_labels, values)
+        # Increasing positions keep the labels unique, so the row index
+        # can wait for the first label lookup (most takes never see one).
+        frame = LabeledFrame.__new__(LabeledFrame)
+        frame._row_labels, frame._col_labels = labels, col_labels
+        frame._values, frame._row_index = values, None
+        frame._col_index = _build_index(col_labels, "column")
+        return frame
 
     def select_rows_present(self, rows: Iterable[Hashable]) -> "LabeledFrame":
         """Like :meth:`select_rows` but silently skips unknown labels.
@@ -248,7 +285,8 @@ class LabeledFrame:
         Useful when intersecting an entity list with the rows actually
         stored (e.g. attribute rows for nodes that survived an operator).
         """
-        known = [r for r in rows if r in self._row_index]
+        index = self._rows()
+        known = [r for r in rows if r in index]
         return self.select_rows(known)
 
     def mask_rows(self, mask: np.ndarray) -> "LabeledFrame":
@@ -258,10 +296,7 @@ class LabeledFrame:
             raise ShapeError(
                 f"mask shape {mask.shape} does not match row count {self.n_rows}"
             )
-        labels = tuple(
-            label for label, keep in zip(self._row_labels, mask) if keep
-        )
-        return LabeledFrame(labels, self._col_labels, self._values[mask].copy())
+        return self.take(np.flatnonzero(mask))
 
     # ------------------------------------------------------------------
     # Boolean reductions (presence-matrix queries)
@@ -360,7 +395,7 @@ class LabeledFrame:
         return self.n_rows
 
     def __contains__(self, label: Hashable) -> bool:
-        return label in self._row_index
+        return label in self._rows()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledFrame):

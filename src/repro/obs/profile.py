@@ -77,8 +77,9 @@ def _load_graph(dataset: str, scale: float) -> Any:
 
 
 def _run_workload(workload: str, graph: Any, tracer: Tracer) -> dict[str, Any]:
-    from ..core import aggregate, aggregate_fast, union
+    from ..core import aggregate, union
     from ..session import GraphTempoSession
+    from ..testing.reference import aggregate_reference
 
     labels = graph.timeline.labels
     session = GraphTempoSession(graph)
@@ -95,12 +96,10 @@ def _run_workload(workload: str, graph: Any, tracer: Tracer) -> dict[str, Any]:
             window = union(graph, labels)
             dist = aggregate(window, attributes, distinct=True)
             all_agg = aggregate(window, attributes, distinct=False)
-            fast = aggregate_fast(window, attributes, distinct=False)
+            reference = aggregate_reference(window, attributes, distinct=False)
             summary["aggregate_nodes_dist"] = dist.n_aggregate_nodes
             summary["aggregate_nodes_all"] = all_agg.n_aggregate_nodes
-            summary["aggregate_engines_agree"] = (
-                dict(all_agg.node_weights) == dict(fast.node_weights)
-            )
+            summary["aggregate_engines_agree"] = not all_agg.diff(reference)
         if workload in ("explore", "session"):
             result = session.explore("growth", "minimal", "new")
             summary["explore_pairs"] = len(result.pairs)

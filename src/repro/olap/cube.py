@@ -38,7 +38,10 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..core import AggregateGraph, TemporalGraph, aggregate, union
+from ..core import AggregateGraph, TemporalGraph, aggregate
+# Unused here, but ``benchmarks/e2e/spans.py`` wraps
+# ``repro.olap.cube.union`` by name, so the name must stay importable.
+from ..core import union  # noqa: F401
 from ..core.granularity import TimeHierarchy
 from ..obs.metrics import get_metrics
 from .lattice import Cuboid, canonical
@@ -224,13 +227,10 @@ class TemporalGraphCube:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        base = (
-            aggregate(self.graph, list(cuboid), distinct=distinct, times=window)
-            if len(window) == 1
-            else aggregate(
-                union(self.graph, window), list(cuboid), distinct=distinct
-            )
-        )
+        # In place over the window: equal to aggregating
+        # ``union(graph, window)`` (the aggregate-union-in-place law),
+        # without materializing the union graph.
+        base = aggregate(self.graph, list(cuboid), distinct=distinct, times=window)
         with self._lock:
             return self._cache.setdefault(key, base)
 

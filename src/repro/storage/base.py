@@ -1,17 +1,17 @@
 """The pluggable graph-storage contract (ROADMAP item 2).
 
-GraphTempo's operators (Definitions 2.2-2.5), both aggregation engines
-(Algorithm 2 and the vectorized fast path) and the exploration lattice
-(Section 3) all reduce to four physical primitives over the Section-4
-arrays:
+GraphTempo's operators (Definitions 2.2-2.5), the aggregation kernel
+(and its Algorithm-2 reference) and the exploration lattice (Section 3)
+all reduce to four physical primitives over the Section-4 arrays:
 
 * boolean **presence reductions** over a time window
   (:meth:`GraphStorageBackend.presence_mask`);
 * **time slicing** — restricting every array to a window
   (:meth:`GraphStorageBackend.slice_time`);
 * **attribute column reads** (:meth:`GraphStorageBackend.attribute_column`);
-* **adjacency scans** resolving edge endpoints to node rows
-  (:meth:`GraphStorageBackend.adjacency_scan`).
+* **endpoint rows** resolving edge endpoints to node rows
+  (:meth:`GraphStorageBackend.endpoint_rows`, iterated per edge by
+  :meth:`GraphStorageBackend.adjacency_scan`).
 
 A :class:`GraphStorageBackend` implements those primitives over some
 physical layout and round-trips losslessly to the dense
@@ -53,6 +53,7 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend_name",
+    "resolve_endpoint_rows",
 ]
 
 #: Environment variable naming the default backend for graphs that do
@@ -212,7 +213,7 @@ class GraphStorageBackend(ABC):
         ``entity="nodes"`` keeps ``node_labels[start:stop]`` (presence,
         static and time-varying attributes), leaving the timeline and
         the edge axis whole — an edge whose endpoint fell outside the
-        shard reports ``-1`` from :meth:`adjacency_scan`, per that
+        shard reports ``-1`` from :meth:`endpoint_rows`, per that
         contract.  ``entity="edges"`` slices the edge axis instead.
         Empty ranges produce a valid empty-axis backend, so a shard plan
         with more shards than rows stays total.  The slice is rebuilt
@@ -268,12 +269,21 @@ class GraphStorageBackend(ABC):
         """
 
     @abstractmethod
+    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)``: each edge's source and target node row.
+
+        Two read-only ``int32`` arrays aligned with :attr:`edge_labels`;
+        rows index :attr:`node_labels`.  A dangling endpoint (a label
+        absent from the node axis) or a malformed edge label (not a
+        ``(u, v)`` pair) is ``-1`` -- resolving never raises, callers
+        decide the severity.
+        """
+
     def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
         """Yield ``(edge_label, source_row, target_row)`` per edge, in
-        storage order.  Node rows index :attr:`node_labels`; a dangling
-        or malformed endpoint is reported as ``-1`` — the scan itself
-        never raises, callers decide the severity.
-        """
+        storage order -- :meth:`endpoint_rows` one edge at a time."""
+        src, dst = self.endpoint_rows()
+        return zip(self.edge_labels, src.tolist(), dst.tolist())
 
     # ------------------------------------------------------------------
     # Accounting
@@ -305,6 +315,23 @@ class GraphStorageBackend(ABC):
             f"{type(self).__name__}({len(self.node_labels)} nodes, "
             f"{len(self.edge_labels)} edges, {len(self.times)} time points)"
         )
+
+
+def resolve_endpoint_rows(
+    node_labels: Sequence[Hashable], edge_labels: Sequence[Hashable]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :meth:`GraphStorageBackend.endpoint_rows` arrays for one
+    node axis and edge axis, frozen read-only."""
+    index = {label: row for row, label in enumerate(node_labels)}
+    pairs = [
+        (index.get(edge[0], -1), index.get(edge[1], -1))
+        if isinstance(edge, tuple) and len(edge) == 2
+        else (-1, -1)
+        for edge in edge_labels
+    ]
+    rows = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2).T.copy()
+    rows.flags.writeable = False
+    return rows[0], rows[1]
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

@@ -11,8 +11,9 @@ Physical layout, per graph:
   the window's columns — O(events in window), not O(entities x window) —
   and time slicing locates columns by binary search over the index;
 * **adjacency** — per-edge source/target node rows resolved once into
-  two integer arrays (``-1`` marks a dangling or malformed endpoint), so
-  aggregation's dangling-edge scan and endpoint grouping never touch a
+  the two ``int32`` :meth:`~ColumnarBackend.endpoint_rows` arrays
+  (``-1`` marks a dangling or malformed endpoint), so the aggregation
+  kernel's dangling-edge check and endpoint grouping never touch a
   Python dict;
 * **attributes** — object values factorized into narrow integer code
   matrices (``int8``/``int16``/``int32``, the smallest the pool fits in)
@@ -34,7 +35,7 @@ the conformance suite (``tests/test_storage_conformance.py``) and the
 from __future__ import annotations
 
 import pickle
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Sequence
 from pathlib import Path
 from typing import Any, ClassVar
 
@@ -42,7 +43,12 @@ import numpy as np
 
 from ..errors import LabelError, StorageError
 from ..frames import LabeledFrame
-from .base import GraphStorageBackend, StorageFrames, register_backend
+from .base import (
+    GraphStorageBackend,
+    StorageFrames,
+    register_backend,
+    resolve_endpoint_rows,
+)
 from .dense import _object_array_nbytes
 
 __all__ = ["ColumnarBackend"]
@@ -163,7 +169,6 @@ class ColumnarBackend(GraphStorageBackend):
         self._node_labels = node_labels
         self._edge_labels = edge_labels
         self._time_index = {t: i for i, t in enumerate(times)}
-        self._node_index = {n: i for i, n in enumerate(node_labels)}
         self._node_packed = _freeze(node_packed)
         self._edge_packed = _freeze(edge_packed)
         self._node_indptr, self._node_idx = (
@@ -205,15 +210,7 @@ class ColumnarBackend(GraphStorageBackend):
         node_labels = frames.node_presence.row_labels
         edge_labels = frames.edge_presence.row_labels
 
-        node_index = {n: i for i, n in enumerate(node_labels)}
-        src = np.empty(len(edge_labels), dtype=np.int32)
-        dst = np.empty(len(edge_labels), dtype=np.int32)
-        for row, edge in enumerate(edge_labels):
-            if isinstance(edge, tuple) and len(edge) == 2:
-                src[row] = node_index.get(edge[0], -1)
-                dst[row] = node_index.get(edge[1], -1)
-            else:
-                src[row] = dst[row] = -1
+        src, dst = resolve_endpoint_rows(node_labels, edge_labels)
 
         static_names = tuple(str(c) for c in frames.static_attrs.col_labels)
         static_values = frames.static_attrs.values
@@ -467,11 +464,8 @@ class ColumnarBackend(GraphStorageBackend):
             )
         raise LabelError(f"unknown attribute {name!r}")
 
-    def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
-        src = np.asarray(self._src_rows)
-        dst = np.asarray(self._dst_rows)
-        for row, edge in enumerate(self._edge_labels):
-            yield edge, int(src[row]), int(dst[row])
+    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self._src_rows), np.asarray(self._dst_rows)
 
     # ------------------------------------------------------------------
     # Accounting

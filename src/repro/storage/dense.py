@@ -9,13 +9,18 @@ every other backend is measured against this one.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Any, ClassVar
 
 import numpy as np
 
 from ..errors import LabelError, StorageError
-from .base import GraphStorageBackend, StorageFrames, register_backend
+from .base import (
+    GraphStorageBackend,
+    StorageFrames,
+    register_backend,
+    resolve_endpoint_rows,
+)
 
 __all__ = ["DenseBackend"]
 
@@ -28,9 +33,9 @@ class DenseBackend(GraphStorageBackend):
 
     def __init__(self, frames: StorageFrames) -> None:
         self._frames = frames
-        self._node_index = {
-            label: row for row, label in enumerate(frames.node_presence.row_labels)
-        }
+        #: ``endpoint_rows`` arrays, resolved on first use: most graphs
+        #: an operator derives are only masked, never aggregated.
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction / round-trip
@@ -131,13 +136,12 @@ class DenseBackend(GraphStorageBackend):
             return frames.static_attrs.column(name)
         raise LabelError(f"unknown attribute {name!r}")
 
-    def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
-        index = self._node_index
-        for edge in self._frames.edge_presence.row_labels:
-            if isinstance(edge, tuple) and len(edge) == 2:
-                yield edge, index.get(edge[0], -1), index.get(edge[1], -1)
-            else:
-                yield edge, -1, -1
+    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._endpoints is None:
+            self._endpoints = resolve_endpoint_rows(
+                self.node_labels, self.edge_labels
+            )
+        return self._endpoints
 
     # ------------------------------------------------------------------
     # Accounting

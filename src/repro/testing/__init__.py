@@ -23,14 +23,17 @@ from . import oracle as _oracle  # noqa: F401  (registers differential laws)
 from .shrink import reproducer_snippet, shrink_graph, write_reproducer
 from .fuzz import HOSTILE_EVERY, FuzzFailure, FuzzReport, run_fuzz
 
-try:
-    from .strategies import temporal_graphs
-except ImportError:  # pragma: no cover - hypothesis not installed
-    def temporal_graphs(*args: object, **kwargs: object) -> object:
-        raise ImportError(
-            "repro.testing.temporal_graphs requires the 'hypothesis' "
-            "package (a test-time dependency)"
-        )
+
+def temporal_graphs(*args: object, **kwargs: object) -> object:
+    """The hypothesis strategy :func:`repro.testing.strategies.temporal_graphs`.
+
+    Imported on first call, so importing :mod:`repro.testing` (which the
+    figure drivers do, for the reference engines) never loads hypothesis.
+    """
+    from .strategies import temporal_graphs as strategy
+
+    return strategy(*args, **kwargs)
+
 
 __all__ = [
     "assert_same_aggregate",

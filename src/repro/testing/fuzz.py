@@ -6,7 +6,8 @@ drawn from ``default_rng([seed, case])`` and each law check from
 idiom, so no case or law perturbs another's randomness and any failure
 is replayable from the report alone.  Every fourth case is hostile
 (dangling edges); laws that require well-formed graphs are skipped
-there.
+there.  Every third case leaves some present time-varying cells
+``None`` (:attr:`GraphSpec.missing_values`).
 
 Failures are shrunk to a minimal graph (:func:`repro.testing.shrink_graph`)
 and, when ``out_dir`` is given, written to disk as standalone reproducer
@@ -80,7 +81,8 @@ class FuzzReport:
 
 
 def _case_spec(case: int, rng: np.random.Generator) -> GraphSpec:
-    """A randomized graph shape; hostile every :data:`HOSTILE_EVERY`-th."""
+    """A randomized graph shape; hostile every :data:`HOSTILE_EVERY`-th,
+    with ``None`` values at present cells every third."""
     hostile = case % HOSTILE_EVERY == HOSTILE_EVERY - 1
     return GraphSpec(
         n_times=int(rng.integers(2, 6)),
@@ -88,6 +90,7 @@ def _case_spec(case: int, rng: np.random.Generator) -> GraphSpec:
         edge_density=float(rng.uniform(0.1, 0.7)),
         presence_density=float(rng.uniform(0.3, 0.9)),
         dangling_edges=int(rng.integers(1, 3)) if hostile else 0,
+        missing_values=0.25 if case % 3 == 1 else 0.0,
     )
 
 

@@ -45,6 +45,11 @@ class GraphSpec:
     well-formed graphs declare themselves ``hostile_safe=False`` and are
     skipped on such inputs; the remaining laws assert that every engine
     rejects or tolerates the hostility *identically*.
+
+    ``missing_values`` is the share of present time-varying cells left
+    ``None`` — a node present without a value, as a ``NodeEvent`` with no
+    ``attrs`` produces.  Aggregation counts such a cell as the value
+    ``None``.
     """
 
     n_times: int = 4
@@ -58,6 +63,7 @@ class GraphSpec:
         default_factory=lambda: {"level": (1, 2, 3)}
     )
     dangling_edges: int = 0
+    missing_values: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_times < 1:
@@ -67,6 +73,7 @@ class GraphSpec:
         for name, value in (
             ("edge_density", self.edge_density),
             ("presence_density", self.presence_density),
+            ("missing_values", self.missing_values),
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
@@ -93,7 +100,8 @@ def random_temporal_graph(
 
     Invariants guaranteed unless ``spec.dangling_edges > 0``: every node
     and edge is present somewhere, edges are active only when both
-    endpoints are, attribute values exist exactly where the entity does.
+    endpoints are, attribute values exist only where the entity does (and
+    everywhere it does unless ``spec.missing_values > 0``).
     """
     generator = _resolve_rng(seed, rng)
     n_times, n_nodes = spec.n_times, spec.n_nodes
@@ -124,6 +132,8 @@ def random_temporal_graph(
             for col in range(n_times):
                 if presence[row, col]:
                     values[row, col] = pool[int(generator.integers(len(pool)))]
+                    if spec.missing_values and generator.random() < spec.missing_values:
+                        values[row, col] = None
         varying[name] = LabeledFrame(node_ids, times, values)
 
     edge_ids: list[tuple[str, str]] = []

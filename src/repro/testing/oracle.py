@@ -1,9 +1,10 @@
 """Differential laws: every engine/store/strategy variant must agree.
 
 The repo deliberately keeps several independently-optimized code paths
-per operation — the literal Algorithm 2 transcription vs the vectorized
-engine, fresh aggregation vs materialized derivation, naive vs
-incremental exploration.  These laws run one random workload through
+per operation — the factorized kernel vs the literal Algorithm 2 and
+appearance-set references (:mod:`repro.testing.reference`), fresh
+aggregation vs materialized derivation, naive vs incremental
+exploration.  These laws run one random workload through
 *all* variants and diff the results bit-exactly (via the ``diff`` hooks
 on :class:`~repro.core.AggregateGraph` and
 :class:`~repro.exploration.explore.ExplorationResult`).  On hostile
@@ -16,10 +17,12 @@ Importing this module registers the laws; :mod:`repro.testing`'s
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 
-from ..core import TemporalGraph, aggregate, presence_signature
-from ..core.fast import aggregation_engines
+from ..core import TemporalGraph, aggregate, aggregate_evolution, presence_signature
 from ..errors import GraphTempoError
 from ..exploration.events import EntityKind, EventType
 from ..exploration.explore import ExtendSide, Goal, exhaustive_explore, explore
@@ -27,12 +30,14 @@ from ..materialize.incremental import IncrementalStore
 from ..materialize.store import MaterializedStore
 from .generators import random_time_sets
 from .laws import register_law
+from .reference import aggregate_evolution_reference, aggregation_engines
 
 __all__ = ["DIFFERENTIAL_LAW_NAMES"]
 
 #: Names of the laws this module registers, in registration order.
 DIFFERENTIAL_LAW_NAMES = (
     "engines-agree",
+    "evolution-engines-agree",
     "union-store-agrees",
     "incremental-replay-agrees",
     "exploration-variants-agree",
@@ -56,10 +61,43 @@ def _pick_attributes(
     return [names[i] for i in order[:k]]
 
 
+def _first_diff(a: object, b: object) -> str | None:
+    problems = a.diff(b)  # type: ignore[attr-defined]
+    return problems[0] if problems else None
+
+
+def _disagreement(
+    what: str,
+    variants: dict[str, Callable[[], object]],
+    differ: Callable[[object, object], str | None] = _first_diff,
+) -> str | None:
+    """Run every variant; ``None`` when all return equal results or all
+    raise the same taxonomy error, else a message naming the split."""
+    results, errors = {}, {}
+    for name, run in variants.items():
+        try:
+            results[name] = run()
+        except GraphTempoError as exc:
+            errors[name] = type(exc).__name__
+    if errors and results:
+        return (
+            f"{what}: {sorted(errors)} raised {sorted(set(errors.values()))}, "
+            f"{sorted(results)} returned"
+        )
+    if len(set(errors.values())) > 1:
+        return f"{what}: variants raised different errors {errors!r}"
+    names = sorted(results)
+    for other in names[1:]:
+        problem = differ(results[names[0]], results[other])
+        if problem:
+            return f"{what}: {names[0]} vs {other}: {problem}"
+    return None
+
+
 @register_law(
     "engines-agree",
-    "all aggregation engines return identical aggregates — or raise the "
-    "same taxonomy error",
+    "the aggregation kernel and the Algorithm-2 references return "
+    "identical aggregates — or raise the same taxonomy error",
 )
 def _engines_agree(graph: TemporalGraph, rng: np.random.Generator) -> str | None:
     attrs = _pick_attributes(rng, graph)
@@ -69,31 +107,32 @@ def _engines_agree(graph: TemporalGraph, rng: np.random.Generator) -> str | None
         if rng.integers(2)
         else random_time_sets(rng, graph, n=1, hostile=bool(rng.integers(2)))[0]
     )
-    results = {}
-    errors = {}
-    for name, engine in aggregation_engines().items():
-        try:
-            results[name] = engine(graph, attrs, distinct=distinct, times=times)
-        except GraphTempoError as exc:
-            errors[name] = type(exc).__name__
-    if errors and results:
-        return (
-            f"engines split on {attrs!r}/{times!r}: {sorted(errors)} raised "
-            f"{sorted(set(errors.values()))}, {sorted(results)} returned"
-        )
-    if errors:
-        if len(set(errors.values())) != 1:
-            return f"engines raised different error types: {errors!r}"
-        return None
-    names = sorted(results)
-    baseline = results[names[0]]
-    for other in names[1:]:
-        problems = baseline.diff(results[other])
-        if problems:
-            return (
-                f"{names[0]} vs {other} on {attrs!r}/{times!r}: {problems[0]}"
-            )
-    return None
+    return _disagreement(
+        f"aggregate {attrs!r}/{times!r}",
+        {
+            name: functools.partial(engine, graph, attrs, distinct, times)
+            for name, engine in aggregation_engines().items()
+        },
+    )
+
+
+@register_law(
+    "evolution-engines-agree",
+    "the evolution kernel returns the appearance-set reference's weights "
+    "— or raises the same taxonomy error",
+)
+def _evolution_engines_agree(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    attrs = _pick_attributes(rng, graph)
+    old, new = random_time_sets(rng, graph, n=2, hostile=bool(rng.integers(2)))
+    return _disagreement(
+        f"evolution {attrs!r} {old!r} -> {new!r}",
+        {
+            "kernel": lambda: aggregate_evolution(graph, old, new, attrs),
+            "reference": lambda: aggregate_evolution_reference(graph, old, new, attrs),
+        },
+    )
 
 
 @register_law(
@@ -217,66 +256,27 @@ def _backend_storage(graph: TemporalGraph, rng: np.random.Generator) -> str | No
     window = random_time_sets(rng, graph, n=1, hostile=bool(rng.integers(2)))[0]
     for entity in ("nodes", "edges"):
         for mode in ("any", "all", "none"):
-            masks = {}
-            mask_errors = {}
-            for name, variant in variants.items():
-                try:
-                    masks[name] = variant.presence_mask(entity, window, mode)
-                except GraphTempoError as exc:
-                    mask_errors[name] = type(exc).__name__
-            if mask_errors and masks:
-                return (
-                    f"backends split on {entity}/{mode} mask over {window!r}: "
-                    f"{sorted(mask_errors)} raised, {sorted(masks)} returned"
-                )
-            if mask_errors:
-                if len(set(mask_errors.values())) != 1:
-                    return (
-                        f"backends raised different {entity}/{mode} mask "
-                        f"errors: {mask_errors!r}"
-                    )
-                continue
-            names = sorted(masks)
-            reference = masks[names[0]]
-            for other in names[1:]:
-                if not np.array_equal(reference, masks[other]):
-                    return (
-                        f"{names[0]} vs {other}: {entity}/{mode} mask differs "
-                        f"over {window!r}"
-                    )
+            problem = _disagreement(
+                f"{entity}/{mode} mask over {window!r}",
+                {
+                    name: functools.partial(variant.presence_mask, entity, window, mode)
+                    for name, variant in variants.items()
+                },
+                lambda a, b: None if np.array_equal(a, b) else "masks differ",
+            )
+            if problem:
+                return problem
 
     attrs = _pick_attributes(rng, graph)
     distinct = bool(rng.integers(2))
     times = None if rng.integers(2) else window
-    results = {}
-    errors = {}
-    for name, variant in variants.items():
-        try:
-            results[name] = aggregate(
-                variant, attrs, distinct=distinct, times=times
-            )
-        except GraphTempoError as exc:
-            errors[name] = type(exc).__name__
-    if errors and results:
-        return (
-            f"backends split on aggregate {attrs!r}/{times!r}: "
-            f"{sorted(errors)} raised {sorted(set(errors.values()))}, "
-            f"{sorted(results)} returned"
-        )
-    if errors:
-        if len(set(errors.values())) != 1:
-            return f"backends raised different aggregate errors: {errors!r}"
-        return None
-    result_names = sorted(results)
-    baseline = results[result_names[0]]
-    for other in result_names[1:]:
-        problems = baseline.diff(results[other])
-        if problems:
-            return (
-                f"{result_names[0]} vs {other} on {attrs!r}/{times!r}: "
-                f"{problems[0]}"
-            )
-    return None
+    return _disagreement(
+        f"aggregate {attrs!r}/{times!r} across backends",
+        {
+            name: functools.partial(aggregate, variant, attrs, distinct, times)
+            for name, variant in variants.items()
+        },
+    )
 
 
 def _served_matches(served: object, naive: object) -> str | None:
@@ -294,7 +294,6 @@ def _served_matches(served: object, naive: object) -> str | None:
     "served results (normalizer + planner + result cache + permutation) "
     "are bit-identical to from-scratch evaluation — or raise the same "
     "taxonomy error",
-    hostile_safe=False,
 )
 def _serving_cache_transparency(
     graph: TemporalGraph, rng: np.random.Generator

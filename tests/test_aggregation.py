@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core import AggregateGraph, aggregate, union
-from repro.core.aggregation import (
-    _aggregate_general,
-    _aggregate_static_fast,
-)
+from repro.testing import assert_same_aggregate
+from repro.testing.reference import _aggregate_general, _aggregate_static_fast
 
 
 class TestTimePointAggregation:
@@ -75,30 +73,31 @@ class TestUnionAggregation:
 
 
 class TestStaticFastPath:
+    """The reference's Section 4.2 static path and its Algorithm 2 path
+    agree with each other and with the production kernel."""
+
+    @staticmethod
+    def _agree(graph, attributes, times, distinct):
+        fast = _aggregate_static_fast(graph, attributes, times, distinct)
+        general = _aggregate_general(graph, attributes, times, distinct)
+        assert_same_aggregate(fast, general)
+        assert_same_aggregate(
+            aggregate(graph, attributes, distinct=distinct, times=times), general
+        )
+
     def test_matches_general_path_dist(self, small_dblp):
-        times = small_dblp.timeline.labels[:4]
-        fast = _aggregate_static_fast(small_dblp, ["gender"], times, True)
-        general = _aggregate_general(small_dblp, ["gender"], times, True)
-        assert dict(fast.node_weights) == dict(general.node_weights)
-        assert dict(fast.edge_weights) == dict(general.edge_weights)
+        self._agree(small_dblp, ["gender"], small_dblp.timeline.labels[:4], True)
 
     def test_matches_general_path_all(self, small_dblp):
-        times = small_dblp.timeline.labels[:4]
-        fast = _aggregate_static_fast(small_dblp, ["gender"], times, False)
-        general = _aggregate_general(small_dblp, ["gender"], times, False)
-        assert dict(fast.node_weights) == dict(general.node_weights)
-        assert dict(fast.edge_weights) == dict(general.edge_weights)
+        self._agree(small_dblp, ["gender"], small_dblp.timeline.labels[:4], False)
 
     def test_multiple_static_attributes(self, small_movielens):
-        times = small_movielens.timeline.labels[:2]
-        fast = _aggregate_static_fast(
-            small_movielens, ["gender", "age"], times, True
+        self._agree(
+            small_movielens,
+            ["gender", "age"],
+            small_movielens.timeline.labels[:2],
+            True,
         )
-        general = _aggregate_general(
-            small_movielens, ["gender", "age"], times, True
-        )
-        assert dict(fast.node_weights) == dict(general.node_weights)
-        assert dict(fast.edge_weights) == dict(general.edge_weights)
 
 
 class TestAggregateValidation:

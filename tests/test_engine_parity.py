@@ -1,10 +1,11 @@
-"""Engine-parity suite: aggregate vs. aggregate_fast on hostile inputs.
+"""Engine-parity suite: the aggregation kernel vs. the Algorithm-2
+reference on hostile inputs.
 
-The two aggregation engines (the literal Algorithm 2 transcription and
-the factorized numpy engine) must agree everywhere — including the edge
-cases this PR fixed: duplicate/unordered time windows (which used to
-double-count in ALL mode), float attribute frames carrying NaN at absent
-cells, and dangling edges (which used to escape as bare ``KeyError``).
+The production kernel (``aggregate``) and the literal Algorithm 2
+transcription (``aggregate_reference``) must agree everywhere —
+including duplicate/unordered time windows (which once double-counted
+in ALL mode), float attribute frames carrying NaN at absent cells, and
+dangling edges (which once escaped as bare ``KeyError``).
 
 A hypothesis property additionally pins the observability invariant:
 running any pipeline under an enabled tracer produces bit-identical
@@ -19,15 +20,15 @@ from repro.core import (
     TemporalGraph,
     Timeline,
     aggregate,
-    aggregate_fast,
 )
 from repro.errors import AggregationError
 from repro.exploration import EventType, ExtendSide, Goal, explore
 from repro.frames import LabeledFrame
 from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.testing import assert_same_aggregate, temporal_graphs
+from repro.testing.reference import aggregate_reference
 
-ENGINES = [aggregate, aggregate_fast]
+ENGINES = [aggregate, aggregate_reference]
 
 
 def _engine_id(engine):
@@ -122,7 +123,7 @@ class TestDuplicateTimes:
         times = ["t1", "t1", "t0"]
         assert_same_aggregate(
             aggregate(paper_graph, ["gender"], distinct=distinct, times=times),
-            aggregate_fast(
+            aggregate_reference(
                 paper_graph, ["gender"], distinct=distinct, times=times
             ),
         )
@@ -133,14 +134,14 @@ class TestFloatAttributeParity:
     def test_engines_agree_with_nan_cells(self, float_attr_graph, distinct):
         assert_same_aggregate(
             aggregate(float_attr_graph, ["score"], distinct=distinct),
-            aggregate_fast(float_attr_graph, ["score"], distinct=distinct),
+            aggregate_reference(float_attr_graph, ["score"], distinct=distinct),
         )
 
     @pytest.mark.parametrize("distinct", [True, False])
     def test_engines_agree_on_mixed_attrs(self, float_attr_graph, distinct):
         assert_same_aggregate(
             aggregate(float_attr_graph, ["gender", "score"], distinct=distinct),
-            aggregate_fast(
+            aggregate_reference(
                 float_attr_graph, ["gender", "score"], distinct=distinct
             ),
         )
@@ -157,7 +158,7 @@ class TestFloatAttributeParity:
 
 
 class TestDanglingEdges:
-    """Regression: both engines now fail from the exception taxonomy,
+    """Regression: both engines fail from the exception taxonomy,
     naming the offending edge, instead of a bare ``KeyError``."""
 
     @pytest.mark.parametrize("engine", ENGINES, ids=_engine_id)
@@ -185,7 +186,7 @@ class TestTracingParity:
             return (
                 aggregate(graph, ["gender"], distinct=True),
                 aggregate(graph, ["gender", "level"], distinct=False),
-                aggregate_fast(graph, ["gender"], distinct=False),
+                aggregate_reference(graph, ["gender"], distinct=False),
             )
 
         baseline = run()

@@ -30,7 +30,7 @@ import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate
-from repro.core.aggregation import aggregate_general
+from repro.testing.reference import aggregate_general
 from repro.core.operators import presence_signature
 from repro.core.updates import SnapshotUpdate
 from repro.datasets import paper_example
@@ -116,12 +116,11 @@ def test_aggregate_parity_both_engines(
 ):
     serial = aggregate(graph, attributes, distinct=distinct)
     oracle = aggregate_general(graph, attributes, distinct=distinct)
+    assert oracle.diff(serial) == (), "kernel diverged from Algorithm 2"
     for name, executor in _executors(fabric):
         with executor_scope(executor):
-            fast = aggregate(graph, attributes, distinct=distinct, parallelism=2)
-            general = aggregate_general(graph, attributes, distinct=distinct)
-        assert serial.diff(fast) == (), f"{name} fast engine diverged"
-        assert oracle.diff(general) == (), f"{name} general engine diverged"
+            pooled = aggregate(graph, attributes, distinct=distinct, parallelism=2)
+        assert serial.diff(pooled) == (), f"{name} pooled kernel diverged"
 
 
 def test_repeated_calls_stay_bit_exact_on_a_warm_pool(graph, fabric, no_work_floor):

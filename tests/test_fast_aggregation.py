@@ -1,10 +1,11 @@
-"""Tests for the vectorized aggregation engine (equivalence with the
-faithful Algorithm 2 transcription)."""
+"""Tests for the aggregation kernel: equivalence with the faithful
+Algorithm 2 transcription kept in :mod:`repro.testing.reference`."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core import aggregate, aggregate_fast, union
+from repro.core import aggregate, union
+from repro.testing.reference import aggregate_reference
 from tests.test_properties import graph_and_windows
 
 
@@ -25,14 +26,14 @@ class TestEquivalence:
     def test_paper_example_full_timeline(self, paper_graph, attrs, distinct):
         assert_same(
             aggregate(paper_graph, attrs, distinct=distinct),
-            aggregate_fast(paper_graph, attrs, distinct=distinct),
+            aggregate_reference(paper_graph, attrs, distinct=distinct),
         )
 
     @pytest.mark.parametrize("time", ["t0", "t1", "t2"])
     def test_paper_example_per_point(self, paper_graph, time):
         assert_same(
             aggregate(paper_graph, ["gender", "publications"], times=[time]),
-            aggregate_fast(paper_graph, ["gender", "publications"], times=[time]),
+            aggregate_reference(paper_graph, ["gender", "publications"], times=[time]),
         )
 
     @pytest.mark.parametrize("distinct", [True, False])
@@ -42,39 +43,49 @@ class TestEquivalence:
         for attrs in (["gender"], ["publications"], ["gender", "publications"]):
             assert_same(
                 aggregate(sub, attrs, distinct=distinct),
-                aggregate_fast(sub, attrs, distinct=distinct),
+                aggregate_reference(sub, attrs, distinct=distinct),
             )
 
     def test_movielens_all_attributes(self, small_movielens):
         attrs = ["gender", "age", "occupation", "rating"]
         assert_same(
             aggregate(small_movielens, attrs, distinct=True),
-            aggregate_fast(small_movielens, attrs, distinct=True),
+            aggregate_reference(small_movielens, attrs, distinct=True),
         )
 
     def test_empty_window_of_entities(self, paper_graph):
         sub = paper_graph.restricted([], [], ["t0"])
-        fast = aggregate_fast(sub, ["gender"])
-        assert fast.node_weights == {}
-        assert fast.edge_weights == {}
+        for engine in (aggregate, aggregate_reference):
+            result = engine(sub, ["gender"])
+            assert result.node_weights == {}
+            assert result.edge_weights == {}
+
+
+ENGINES = (aggregate, aggregate_reference)
 
 
 class TestValidation:
+    """Kernel and reference reject the same inputs with the same errors."""
+
     def test_empty_attributes(self, paper_graph):
-        with pytest.raises(ValueError):
-            aggregate_fast(paper_graph, [])
+        for engine in ENGINES:
+            with pytest.raises(ValueError):
+                engine(paper_graph, [])
 
     def test_duplicate_attributes(self, paper_graph):
-        with pytest.raises(ValueError):
-            aggregate_fast(paper_graph, ["gender", "gender"])
+        for engine in ENGINES:
+            with pytest.raises(ValueError):
+                engine(paper_graph, ["gender", "gender"])
 
     def test_unknown_attribute(self, paper_graph):
-        with pytest.raises(KeyError):
-            aggregate_fast(paper_graph, ["height"])
+        for engine in ENGINES:
+            with pytest.raises(KeyError):
+                engine(paper_graph, ["height"])
 
     def test_unknown_time(self, paper_graph):
-        with pytest.raises(KeyError):
-            aggregate_fast(paper_graph, ["gender"], times=["t9"])
+        for engine in ENGINES:
+            with pytest.raises(KeyError):
+                engine(paper_graph, ["gender"], times=["t9"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,5 +97,5 @@ def test_fast_engine_property_equivalence(data):
         for distinct in (True, False):
             assert_same(
                 aggregate(sub, attrs, distinct=distinct),
-                aggregate_fast(sub, attrs, distinct=distinct),
+                aggregate_reference(sub, attrs, distinct=distinct),
             )

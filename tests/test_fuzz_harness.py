@@ -8,7 +8,7 @@ syntactically valid reproducer script.
 
 import pytest
 
-import repro.core.fast as fast
+import repro.testing.reference as reference
 from repro.core import AggregateGraph
 from repro.errors import AggregationError, ConfigurationError
 from repro.testing import (
@@ -62,7 +62,7 @@ class TestErrorParity:
         graph = random_temporal_graph(
             GraphSpec(dangling_edges=2), seed=test_seed
         )
-        for name, engine in fast.aggregation_engines().items():
+        for name, engine in reference.aggregation_engines().items():
             with pytest.raises(AggregationError):
                 engine(graph, ["gender"], distinct=True)
 
@@ -90,7 +90,7 @@ class TestInjectedBug:
         self, test_seed, monkeypatch, tmp_path
     ):
         monkeypatch.setitem(
-            fast._ENGINES, "fast", _corrupting(fast._ENGINES["fast"])
+            reference._ENGINES, "kernel", _corrupting(reference._ENGINES["kernel"])
         )
         report = run_fuzz(
             seed=test_seed,
@@ -119,7 +119,7 @@ class TestInjectedBug:
         # the reported reproducer paths must come back absolute so they
         # stay valid even if something chdirs afterwards.
         monkeypatch.setitem(
-            fast._ENGINES, "fast", _corrupting(fast._ENGINES["fast"])
+            reference._ENGINES, "kernel", _corrupting(reference._ENGINES["kernel"])
         )
         monkeypatch.chdir(tmp_path)
         report = run_fuzz(
@@ -140,7 +140,7 @@ class TestInjectedBug:
         self, test_seed, monkeypatch, tmp_path
     ):
         monkeypatch.setitem(
-            fast._ENGINES, "fast", _corrupting(fast._ENGINES["fast"])
+            reference._ENGINES, "kernel", _corrupting(reference._ENGINES["kernel"])
         )
         report = run_fuzz(
             seed=test_seed, cases=12, laws=["engines-agree"], out_dir=tmp_path

@@ -17,7 +17,6 @@ from repro.analysis import (
 from repro.core import (
     TimeHierarchy,
     aggregate,
-    aggregate_fast,
     coarsen,
     union,
     with_degree_attribute,
@@ -38,6 +37,7 @@ from repro.materialize import MaterializedStore
 from repro.olap import TemporalGraphCube, greedy_view_selection
 from repro.query import run_query
 from repro.testing import assert_same_aggregate
+from repro.testing.reference import aggregate_reference
 
 
 class TestPersistencePipeline:
@@ -82,14 +82,14 @@ class TestSessionPipeline:
         via_query = run_query(
             small_movielens, "aggregate gender all over union [May..Jul]"
         )
-        via_fast = aggregate_fast(
+        via_reference = aggregate_reference(
             union(small_movielens, ["May", "Jun", "Jul"]),
             ["gender"],
             distinct=False,
         )
         assert_same_aggregate(via_session, via_api)
         assert_same_aggregate(via_query, via_api)
-        assert_same_aggregate(via_fast, via_api)
+        assert_same_aggregate(via_reference, via_api)
 
     def test_view_selection_feeds_cube(self, small_movielens):
         """Greedy views warm a cube so single-attribute queries never hit

@@ -26,6 +26,7 @@ from repro.obs import (
     traced,
 )
 from repro.session import GraphTempoSession
+from repro.testing.reference import aggregate_reference
 
 
 @pytest.fixture()
@@ -227,9 +228,12 @@ class TestPipelineIntegration:
 
     def test_algorithm2_step_counters(self, paper_graph, fresh_obs):
         _, registry = fresh_obs
-        # publications is time-varying, forcing the general Algorithm 2
-        # path with its unpivot/dedup/group-count instrumentation.
+        # publications is time-varying, forcing the reference's general
+        # Algorithm 2 path with its unpivot/dedup/group-count
+        # instrumentation; the production kernel emits none of it.
         aggregate(paper_graph, ["publications"], distinct=True)
+        assert registry.counter("algo2.unpivot_rows") == 0
+        aggregate_reference(paper_graph, ["publications"], distinct=True)
         assert registry.counter("algo2.unpivot_rows") > 0
         assert registry.counter("algo2.dedup_rows") > 0
         assert registry.counter("algo2.group_count_groups") > 0
@@ -237,9 +241,18 @@ class TestPipelineIntegration:
 
     def test_frames_rows_scanned(self, paper_graph, fresh_obs):
         _, registry = fresh_obs
-        aggregate(paper_graph, ["publications"], distinct=True)
+        aggregate_reference(paper_graph, ["publications"], distinct=True)
         assert registry.counter("frames.rows_scanned") > 0
         assert registry.counter("frames.table_ops") > 0
+
+    def test_aggregate_span_names_the_engine(self, paper_graph, fresh_obs):
+        tracer, _ = fresh_obs
+        aggregate(paper_graph, ["publications"], distinct=True)
+        assert tracer.last_root.attributes["engine"] == "kernel"
+        assert tracer.last_root.children == []
+        aggregate_reference(paper_graph, ["publications"], distinct=True)
+        assert tracer.last_root.attributes["engine"] == "algo2"
+        assert "aggregate.unpivot" in tracer.last_root.span_names()
 
     def test_exploration_counters(self, paper_graph, fresh_obs):
         _, registry = fresh_obs

@@ -25,7 +25,7 @@ import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, aggregate_evolution
-from repro.core.aggregation import aggregate_general
+from repro.testing.reference import aggregate_general
 from repro.datasets import paper_example
 from repro.exploration import (
     EntityKind,
@@ -77,8 +77,8 @@ def test_aggregate_parity(graph, attributes, distinct, workers):
 
 
 def test_parallel_aggregate_matches_forced_general_oracle(graph):
-    # The PR-4 differential oracle's baseline engine stays serial; the
-    # pooled dispatching engine must still agree with it bit for bit.
+    # The Algorithm-2 reference stays serial; the pooled kernel must
+    # still agree with it bit for bit.
     for distinct in (True, False):
         oracle = aggregate_general(graph, ["color"], distinct=distinct)
         pooled = aggregate(graph, ["color"], distinct=distinct, parallelism=2)

@@ -384,6 +384,33 @@ def test_adjacency_scan_never_raises_on_hostile_graphs(test_seed, backend):
     assert sum(1 for _, u, v in rows if u < 0 or v < 0) >= 3
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_endpoint_rows_are_int32_and_match_dense(graph, backend):
+    reference = DenseBackend.from_graph(graph).endpoint_rows()
+    rows = get_backend(backend).from_graph(graph).endpoint_rows()
+    for got, expected in zip(rows, reference):
+        assert got.dtype == np.int32
+        assert got.shape == (graph.n_edges,)
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
+    nodes = graph.node_presence.row_labels
+    for (u, v), src, dst in zip(graph.edges, *rows):
+        assert (nodes[src], nodes[dst]) == (u, v)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_endpoint_rows_mark_dangling_endpoints(test_seed, backend):
+    hostile = random_temporal_graph(GraphSpec(dangling_edges=3), seed=test_seed)
+    src, dst = get_backend(backend).from_graph(hostile).endpoint_rows()
+    dense_src, dense_dst = DenseBackend.from_graph(hostile).endpoint_rows()
+    assert np.array_equal(src, dense_src) and np.array_equal(dst, dense_dst)
+    ghosts = [
+        any(str(label).startswith("ghost") for label in edge)
+        for edge in hostile.edges
+    ]
+    assert np.array_equal((src < 0) | (dst < 0), np.array(ghosts))
+
+
 # ----------------------------------------------------------------------
 # Hypothesis round-trip properties
 # ----------------------------------------------------------------------
