@@ -18,12 +18,13 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import AggregationError
+from ..errors import AggregationError, ValidationError
 from .graph import TemporalGraph
 
 __all__ = [
     "WindowCells",
     "window_cells",
+    "static_codes",
     "count_nodes",
     "count_edges",
     "evolution_counts",
@@ -91,6 +92,17 @@ def window_cells(
     return WindowCells(rows, cols, codes, list(zip(*columns)), grid)
 
 
+def static_codes(
+    graph: TemporalGraph, attributes: Sequence[str], rows: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
+    """The static attribute tuple of every node row (or of node ``rows``)
+    as a dense code in first-seen order, and the tuple of each code."""
+    columns = [graph.static_attrs.column(name) for name in attributes]
+    if rows is not None:
+        columns = [column[rows] for column in columns]
+    return _factorize(zip(*columns))
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys (a sort beats numpy's hashing ``unique`` here)."""
     keys = np.sort(keys)
@@ -113,7 +125,10 @@ def count_nodes(cells: WindowCells, distinct: bool) -> dict[tuple[Any, ...], int
     return _count(cells.rows, cells.codes, cells.tuples, distinct)
 
 
-def _dangling_error(graph: TemporalGraph, row: int) -> AggregationError:
+def _dangling_error(
+    graph: TemporalGraph, row: int, error: type[ValidationError] = AggregationError
+) -> ValidationError:
+    """The taxonomy error naming dangling edge ``row`` and its missing node."""
     backend = graph.storage
     edge = backend.edge_labels[row]
     if not (isinstance(edge, tuple) and len(edge) == 2):
@@ -121,28 +136,34 @@ def _dangling_error(graph: TemporalGraph, row: int) -> AggregationError:
     else:
         missing = edge[0] if backend.endpoint_rows()[0][row] < 0 else edge[1]
         problem = f"references node {missing!r} absent from node presence"
-    return AggregationError(
+    return error(
         f"edge {edge!r} {problem}; the graph has dangling edges "
         f"(storage backend {backend.name!r})"
     )
 
 
 def check_no_dangling_edges(
-    graph: TemporalGraph, times: Sequence[Hashable] | None = None
+    graph: TemporalGraph,
+    times: Sequence[Hashable] | None = None,
+    error: type[ValidationError] = AggregationError,
 ) -> None:
-    """Raise :class:`AggregationError` if an edge present in the window
-    (``None``: the whole timeline) lacks a node row.
+    """Raise ``error`` if an edge present in the window (``None``: the
+    whole timeline) lacks a node row, naming the first one in row order.
 
     The rule every aggregation engine shares: an aggregate raises if and
     only if a dangling edge is present in the aggregated window, so
     aggregating in place over a window fails exactly when aggregating
-    the window's union graph does.  Reads the storage backend's
-    ``endpoint_rows`` and names the backend in the error.
+    the window's union graph does.  Exploration counts that read
+    endpoint attributes apply it to the whole timeline.  Reads the
+    storage backend's ``endpoint_rows`` and names the backend in the
+    error.
     """
     src, dst = graph.storage.endpoint_rows()
-    dangling = ((src < 0) | (dst < 0)) & graph.presence_mask("edges", times, "any")
-    if dangling.any():
-        raise _dangling_error(graph, int(np.argmax(dangling)))
+    unresolved = (src < 0) | (dst < 0)
+    if unresolved.any():
+        dangling = unresolved & graph.presence_mask("edges", times, "any")
+        if dangling.any():
+            raise _dangling_error(graph, int(np.argmax(dangling)), error)
 
 
 def _edge_cells(

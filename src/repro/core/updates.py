@@ -200,47 +200,35 @@ def snapshot_at(graph: TemporalGraph, time: Hashable) -> SnapshotUpdate:
     the update is replayable regardless of when each node first appeared.
     """
     pos = graph.timeline.index_of(time)
-    varying_names = graph.varying_attribute_names
-    nodes: dict[NodeId, dict[str, Any]] = {}
-    node_values = graph.node_presence.values
-    for row, node in enumerate(graph.node_presence.row_labels):
-        if not node_values[row, pos]:
-            continue
-        values: dict[str, Any] = {}
-        for name in varying_names:
-            value = graph.varying_attrs[name].values[row, pos]
-            if value is not None:
-                values[name] = value
-        nodes[node] = values
-
-    static_names = [str(c) for c in graph.static_attrs.col_labels]
-    static: dict[NodeId, dict[str, Any]] = {}
-    for row, node in enumerate(graph.static_attrs.row_labels):
-        if node not in nodes:
-            continue
-        static[node] = {
-            name: graph.static_attrs.values[row, col]
-            for col, name in enumerate(static_names)
+    rows = np.flatnonzero(graph.node_presence.values[:, pos])
+    labels = graph.nodes
+    present = [labels[row] for row in rows.tolist()]
+    varying = [
+        (name, graph.varying_attrs[name].values[rows, pos])
+        for name in graph.varying_attribute_names
+    ]
+    nodes: dict[NodeId, dict[str, Any]] = {
+        node: {
+            name: column[i] for name, column in varying if column[i] is not None
         }
-
-    edge_values = graph.edge_presence.values
-    edges = tuple(
-        edge
-        for row, edge in enumerate(graph.edge_presence.row_labels)
-        if edge_values[row, pos]
-    )
-
+        for i, node in enumerate(present)
+    }
+    # Static rows are node rows, and edge attribute rows are edge rows.
+    static_names = [str(c) for c in graph.static_attrs.col_labels]
+    static: dict[NodeId, dict[str, Any]] = {
+        node: dict(zip(static_names, values))
+        for node, values in zip(present, graph.static_attrs.values[rows])
+    }
+    edge_rows = np.flatnonzero(graph.edge_presence.values[:, pos])
+    edge_labels = graph.edges
+    edges = tuple(edge_labels[row] for row in edge_rows.tolist())
     edge_attrs: dict[EdgeId, dict[str, Any]] = {}
     if graph.edge_attrs is not None:
         names = [str(c) for c in graph.edge_attrs.col_labels]
-        edge_set = set(edges)
-        for row, edge in enumerate(graph.edge_attrs.row_labels):
-            if edge not in edge_set:
-                continue
-            edge_attrs[edge] = {  # type: ignore[index]
-                name: graph.edge_attrs.values[row, col]
-                for col, name in enumerate(names)
-            }
+        edge_attrs = {
+            edge: dict(zip(names, values))
+            for edge, values in zip(edges, graph.edge_attrs.values[edge_rows])
+        }
     return SnapshotUpdate(
         time=time, nodes=nodes, static=static, edges=edges, edge_attrs=edge_attrs
     )

@@ -13,9 +13,10 @@ Three event kinds are derived from an ordered pair of sides
 ``result(G)`` is the number of events of interest in the aggregate of the
 event graph: either the total entity count, or — as in the paper's
 Figures 13/14, which track female-female edges — the DIST weight of one
-aggregate entity.  :class:`EventCounter` precomputes presence matrices,
-per-entity tuple matches (static attributes) and integer tuple-code
-matrices (time-varying attributes), so a single count is a handful of
+aggregate entity.  :class:`EventCounter` precomputes, with array
+operations, the counted entity's presence matrix and the attributes'
+integer tuple codes (per entity for static attributes, per ``(entity,
+time)`` cell for time-varying ones), so a single count is a handful of
 vectorized mask operations; exploration runs thousands of counts.
 
 :class:`ChainEvaluator` goes one step further for the exploration
@@ -27,6 +28,7 @@ instead of re-reducing the whole growing window.
 
 from __future__ import annotations
 
+import copy
 import enum
 from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from typing import Any
 import numpy as np
 
 from ..core import Interval, TemporalGraph
+from ..core.fast import check_no_dangling_edges, static_codes, window_cells
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
@@ -92,6 +95,24 @@ def event_mask_from(
     return old_mask & ~new_mask
 
 
+def _pair_codes(
+    codes: np.ndarray, src: np.ndarray, dst: np.ndarray, base: int
+) -> np.ndarray:
+    """Endpoint tuple codes combined into one pair code per edge row (per
+    ``(row, time)`` cell for a code grid); ``-1`` where an endpoint is
+    unresolved or absent."""
+    resolved = (src >= 0) & (dst >= 0)
+    pairs = np.full((src.size, *codes.shape[1:]), -1, dtype=np.int64)
+    s, t = codes[src[resolved]], codes[dst[resolved]]
+    pairs[resolved] = np.where((s >= 0) & (t >= 0), s * base + t, -1)
+    return pairs
+
+
+def _tuple_code(tuples: Sequence[tuple[Any, ...]], key: Any) -> int:
+    """The code of ``key`` among ``tuples``, or the unseen sentinel."""
+    return {t: code for code, t in enumerate(tuples)}.get(tuple(key), _UNSEEN_CODE)
+
+
 def static_match_mask(
     graph: TemporalGraph,
     entity: EntityKind,
@@ -104,58 +125,35 @@ def static_match_mask(
     ``entities`` restricts the mask to a subset of entity ids (in the
     given order) — the delta path :class:`repro.streaming.ExplorationView`
     uses to extend its match mask with only the rows a snapshot append
-    introduced, instead of rebuilding over the whole entity set.  With
+    introduced; only those rows and their endpoints are read.  With
     ``entities=None`` the mask covers every row of the entity's presence
-    frame, in row order (what :class:`EventCounter` precomputes).
+    frame, in row order.  Edges raise as :class:`EventCounter` does.
     """
-    positions = [graph.static_attrs.col_position(a) for a in tuple(attributes)]
-    values = graph.static_attrs.values
-    tuples = {
-        node: tuple(values[i, p] for p in positions)
-        for i, node in enumerate(graph.node_presence.row_labels)
-    }
+    rows: np.ndarray | None = None
+    if entities is not None:
+        frame = graph.edge_presence
+        if entity is EntityKind.NODES:
+            frame = graph.node_presence
+        rows = np.fromiter(map(frame.row_position, entities), np.intp, len(entities))
+
+    def matches(node_rows: np.ndarray | None, wanted: Any) -> np.ndarray:
+        codes, tuples = static_codes(graph, attributes, node_rows)
+        return codes == _tuple_code(tuples, wanted)
+
     if entity is EntityKind.NODES:
-        labels = (
-            tuple(entities)
-            if entities is not None
-            else graph.node_presence.row_labels
-        )
-        wanted = tuple(key)
-        return np.fromiter(
-            (tuples[node] == wanted for node in labels),
-            dtype=bool,
-            count=len(labels),
-        )
-    edge_labels = (
-        tuple(entities)
-        if entities is not None
-        else graph.edge_presence.row_labels
-    )
+        return matches(rows, key)
     source_key, target_key = key
-    source_key, target_key = tuple(source_key), tuple(target_key)
-    return np.fromiter(
-        (
-            _endpoint_entry(tuples, (u, v), u) == source_key
-            and _endpoint_entry(tuples, (u, v), v) == target_key
-            for u, v in edge_labels  # type: ignore[misc]
-        ),
-        dtype=bool,
-        count=len(edge_labels),
+    src, dst = graph.storage.endpoint_rows()
+    if rows is not None:
+        src, dst = src[rows], dst[rows]
+    resolved = (src >= 0) & (dst >= 0)
+    if not resolved.all():
+        check_no_dangling_edges(graph, error=ExplorationError)
+    mask = np.zeros(src.size, dtype=bool)
+    mask[resolved] = matches(src[resolved], source_key) & matches(
+        dst[resolved], target_key
     )
-
-
-def _endpoint_entry(
-    mapping: dict[Hashable, Any], edge: Hashable, node: Hashable
-) -> Any:
-    """A per-node table entry for an edge endpoint; dangling edges raise
-    from the taxonomy instead of leaking a bare ``KeyError``."""
-    try:
-        return mapping[node]
-    except KeyError:
-        raise ExplorationError(
-            f"edge {edge!r} references node {node!r} absent from "
-            "node presence; the graph has dangling edges"
-        ) from None
+    return mask
 
 
 class EventCounter:
@@ -175,13 +173,19 @@ class EventCounter:
         ``(source tuple, target tuple)`` pair (e.g. ``(("f",), ("f",))``
         for female-female edges).  ``None`` counts all entities.
 
-    Static-attribute keys are resolved once into a boolean per-entity
-    match mask.  Time-varying attributes fall back to counting distinct
-    ``(entity, tuple)`` appearances inside the event window; to keep
-    that path vectorized, the per-``(node, t)`` attribute tuples are
-    factorized once at construction into an integer code matrix, so each
-    count is a masked numpy reduction instead of a Python loop over
-    entities x window.
+    Construction builds a key-independent index with array operations:
+    the counted entity's presence matrix and the attribute tuple codes,
+    one per entity for static attributes and one per ``(entity, time)``
+    cell (``-1`` where absent) for time-varying ones; edges combine their
+    endpoints' codes through the storage backend's ``endpoint_rows``.
+    A static key resolves to a boolean match mask, a time-varying one to
+    the code each count compares against.  :meth:`with_key` binds another
+    key to the same index.
+
+    An edge counter that reads endpoint attributes (time-varying ones,
+    or static ones with a key) raises :class:`ExplorationError` if and
+    only if a dangling edge is present on the timeline, as a
+    whole-timeline aggregate does, naming the first one in row order.
     """
 
     def __init__(
@@ -194,131 +198,82 @@ class EventCounter:
         self.graph = graph
         self.entity = entity
         self.attributes = tuple(attributes)
-        self.key = key
-        if key is not None and not self.attributes:
-            raise ExplorationError("a key filter requires aggregation attributes")
-        # Presence matrices come from the graph's storage backend, so
-        # exploration (and every ChainEvaluator built on this counter)
-        # reads whichever physical layout the graph selected.
-        self._node_presence = graph.storage.presence_matrix("nodes")
-        self._edge_presence = graph.storage.presence_matrix("edges")
         self._all_static = all(graph.is_static(a) for a in self.attributes)
-        self._match_mask = self._build_match_mask() if self._all_static else None
-        #: Integer tuple code per (entity row, time column); -1 marks an
-        #: absent entity.  Only built for the time-varying fallback.
-        self._entity_codes: np.ndarray | None = None
+        self._presence_matrix = graph.storage.presence_matrix(entity.value)
+        #: Tuple code per entity, or per (entity, time) cell with -1 where
+        #: absent; pair codes for edges.  ``None`` without attributes.
+        self._codes: np.ndarray | None = None
+        #: The attribute tuple of each node code.
+        self._tuples: list[tuple[Any, ...]] = []
         #: Row stride for building distinct (entity, code) ids.
         self._code_stride = 1
-        #: Resolved code of ``key`` (pair code for edges), or ``None``
-        #: when no key applies on the time-varying path.
-        self._key_code: int | None = None
-        if self.attributes and not self._all_static:
-            self._build_tuple_codes()
+        if self.attributes:
+            self._build_codes()
+        self._bind_key(key)
 
     # ------------------------------------------------------------------
     # Precomputation
     # ------------------------------------------------------------------
 
-    def _build_match_mask(self) -> np.ndarray | None:
-        """Per-entity boolean: does this entity's static tuple match key?"""
-        if self.key is None:
-            return None
-        return static_match_mask(
-            self.graph, self.entity, self.attributes, self.key
-        )
-
-    def _build_tuple_codes(self) -> None:
-        """Factorize per-``(node, t)`` attribute tuples into integer codes.
-
-        One pass over the node/time grid (the cost of a single
-        ``_node_tuple_table`` call, amortized over every subsequent
-        count) assigns each distinct attribute tuple an integer and
-        stores the per-cell codes in a dense matrix.  For edge entities
-        the endpoint codes are further combined into a single pair code
-        per ``(edge, t)`` cell, so distinct-appearance counting is one
-        ``np.unique`` over masked ids.
-        """
+    def _build_codes(self) -> None:
         graph = self.graph
-        n_nodes, n_times = self._node_presence.shape
-        static_positions = {
-            name: graph.static_attrs.col_position(name)
-            for name in self.attributes
-            if graph.is_static(name)
-        }
-        varying_values = {
-            name: graph.varying_attrs[name].values
-            for name in self.attributes
-            if name not in static_positions
-        }
-        static_values = graph.static_attrs.values
-        code_of: dict[tuple[Any, ...], int] = {}
-        codes = np.full((n_nodes, n_times), -1, dtype=np.int64)
-        for row in range(n_nodes):
-            static_part = {
-                name: static_values[row, pos]
-                for name, pos in static_positions.items()
-            }
-            for col in range(n_times):
-                if not self._node_presence[row, col]:
-                    continue
-                values = tuple(
-                    static_part[name]
-                    if name in static_part
-                    else varying_values[name][row, col]
-                    for name in self.attributes
-                )
-                code = code_of.setdefault(values, len(code_of))
-                codes[row, col] = code
-        base = max(1, len(code_of))
+        if self._all_static:
+            codes, self._tuples = static_codes(graph, self.attributes)
+        else:
+            cells = window_cells(graph, self.attributes, range(len(graph.timeline)))
+            codes, self._tuples = cells.grid, cells.tuples
+        base = max(1, len(self._tuples))
         if self.entity is EntityKind.NODES:
-            self._entity_codes = codes
-            self._code_stride = base
-            if self.key is not None:
-                self._key_code = code_of.get(tuple(self.key), _UNSEEN_CODE)
+            self._codes, self._code_stride = codes, base
             return
-        node_position = {
-            node: i for i, node in enumerate(graph.node_presence.row_labels)
-        }
-        source_rows = np.fromiter(
-            (
-                _endpoint_entry(node_position, (u, v), u)
-                for u, v in graph.edge_presence.row_labels  # type: ignore[misc]
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
-        target_rows = np.fromiter(
-            (
-                _endpoint_entry(node_position, (u, v), v)
-                for u, v in graph.edge_presence.row_labels  # type: ignore[misc]
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
-        source_codes = codes[source_rows]
-        target_codes = codes[target_rows]
-        defined = (source_codes >= 0) & (target_codes >= 0)
-        self._entity_codes = np.where(
-            defined, source_codes * base + target_codes, -1
-        )
+        self._codes = _pair_codes(codes, *graph.storage.endpoint_rows(), base)
         self._code_stride = base * base
-        if self.key is not None:
-            source_code = code_of.get(tuple(self.key[0]), -1)
-            target_code = code_of.get(tuple(self.key[1]), -1)
-            self._key_code = (
-                source_code * base + target_code
-                if source_code >= 0 and target_code >= 0
+
+    def _bind_key(self, key: Any) -> None:
+        """Resolve ``key`` against the index: a static match mask, or the
+        code a time-varying count compares against."""
+        if key is not None and not self.attributes:
+            raise ExplorationError("a key filter requires aggregation attributes")
+        self.key = key
+        #: Per-entity boolean match of a static key.
+        self._match_mask: np.ndarray | None = None
+        #: Resolved code of ``key`` (pair code for edges) on the
+        #: time-varying path.
+        self._key_code: int | None = None
+        if self.entity is EntityKind.EDGES and self.attributes and (
+            key is not None or not self._all_static
+        ):
+            check_no_dangling_edges(self.graph, error=ExplorationError)
+        if key is None:
+            return
+        if self.entity is EntityKind.NODES:
+            code = _tuple_code(self._tuples, key)
+        else:
+            source, target = (_tuple_code(self._tuples, side) for side in key)
+            code = (
+                source * max(1, len(self._tuples)) + target
+                if source >= 0 and target >= 0
                 else _UNSEEN_CODE
             )
+        if self._all_static:
+            assert self._codes is not None
+            self._match_mask = self._codes == code
+        else:
+            self._key_code = code
+
+    def with_key(self, key: Any) -> "EventCounter":
+        """A counter for ``key`` sharing this counter's presence matrix
+        and tuple codes, so the index is built once for every key."""
+        counter = copy.copy(self)
+        counter._bind_key(key)
+        return counter
 
     # ------------------------------------------------------------------
     # Side qualification
     # ------------------------------------------------------------------
 
     def _presence(self) -> np.ndarray:
-        if self.entity is EntityKind.NODES:
-            return self._node_presence
-        return self._edge_presence
+        return self._presence_matrix
 
     def _qualify(self, side: Side) -> np.ndarray:
         """Boolean entity mask: qualifies on this side (ANY vs ALL)."""
@@ -336,11 +291,7 @@ class EventCounter:
     ) -> tuple[Hashable, ...]:
         """The entity ids participating in the event."""
         mask = self.event_mask(event, old, new)
-        labels = (
-            self.graph.node_presence.row_labels
-            if self.entity is EntityKind.NODES
-            else self.graph.edge_presence.row_labels
-        )
+        labels = self.graph.storage.entity_labels(self.entity.value)
         return tuple(label for label, keep in zip(labels, mask) if keep)
 
     # ------------------------------------------------------------------
@@ -396,7 +347,7 @@ class EventCounter:
         keyless count one ``np.unique`` over the masked (entity, code)
         ids.
         """
-        codes = self._entity_codes
+        codes = self._codes
         if codes is None:  # pragma: no cover - guarded by count_for_mask
             raise ExplorationError("tuple codes were not built for this counter")
         window = self._event_window_indices(event, old, new)
@@ -468,10 +419,6 @@ class ChainEvaluator:
     def point_mask(self, index: int) -> np.ndarray:
         """The presence column of one base time point."""
         return self._presence()[:, index]
-
-    def side_mask(self, side: Side) -> np.ndarray:
-        """A side's qualification mask, reduced from scratch."""
-        return self.counter._qualify(side)
 
     def extend_side_mask(
         self, mask: np.ndarray, index: int, semantics: Semantics

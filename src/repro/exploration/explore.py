@@ -171,8 +171,9 @@ def _record_pruning(
 # worker registry and are merged back by the pool.
 # ----------------------------------------------------------------------
 
-#: ``(counter, event, extend, k, incremental)`` — shared with every chunk.
-_StrategyPayload = tuple[EventCounter, EventType, ExtendSide, int, bool]
+#: ``(counter, event, goal, extend, k, incremental)`` — shared with every
+#: chunk.
+_StrategyPayload = tuple[EventCounter, EventType, Goal, ExtendSide, int, bool]
 #: One slice ``(start, stop)`` of chain reference indices.
 _ReferenceRange = tuple[int, int]
 _ChunkResult = tuple[list[IntervalPairResult], int]
@@ -180,7 +181,7 @@ _ChunkResult = tuple[list[IntervalPairResult], int]
 
 def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     """U-Explore over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
+    counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
     n_times = len(counter.graph.timeline)
@@ -200,7 +201,7 @@ def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
 
 def _i_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     """I-Explore over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
+    counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
     n_times = len(counter.graph.timeline)
@@ -226,7 +227,7 @@ def _consecutive_chunk(
     payload: _StrategyPayload, task: _ReferenceRange
 ) -> _ChunkResult:
     """Consecutive-pairs strategy over one slice of reference points."""
-    counter, event, _extend, k, incremental = payload
+    counter, event, _goal, _extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
     pairs: list[IntervalPairResult] = []
@@ -242,7 +243,7 @@ def _longest_chunk(
     payload: _StrategyPayload, task: _ReferenceRange
 ) -> _ChunkResult:
     """Longest-extension strategy over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
+    counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
     pairs: list[IntervalPairResult] = []
@@ -256,29 +257,29 @@ def _longest_chunk(
 
 def _run_strategy(
     chunk_fn: Any,
-    payload: Any,
+    goal: Goal,
     counter: EventCounter,
+    event: EventType,
+    extend: ExtendSide,
+    k: int,
+    incremental: bool,
     parallelism: int | str | None,
-) -> tuple[tuple[IntervalPairResult, ...], int]:
+) -> ExplorationResult:
     """Run a ranged chunk worker over every reference point.
 
     Serial executors get one call over the full range; pools get the
     range partitioned by the chunk planner and the slices' results
     concatenated in chunk order.
     """
-    n_times = len(counter.graph.timeline)
+    payload: _StrategyPayload = (counter, event, goal, extend, k, incremental)
+    n_rows, n_times = counter._presence().shape
     references = max(0, n_times - 1)
-    n_rows = (
-        counter.graph.n_nodes
-        if counter.entity is EntityKind.NODES
-        else counter.graph.n_edges
-    )
     executor = get_executor(
         parallelism, task_hint=references * n_times * max(1, n_rows)
     )
     if isinstance(executor, InlineExecutor):
         pairs, evaluations = chunk_fn(payload, (0, references))
-        return tuple(pairs), evaluations
+        return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
     tasks = [
         (chunk.start, chunk.stop)
         for chunk in plan_chunks(references, executor.workers)
@@ -289,7 +290,7 @@ def _run_strategy(
     for chunk_pairs, chunk_evaluations in results:
         pairs.extend(chunk_pairs)
         evaluations += chunk_evaluations
-    return tuple(pairs), evaluations
+    return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
 
 
 def u_explore(
@@ -309,10 +310,9 @@ def u_explore(
     chain is pruned.  Reference points are independent, so a pool
     distributes them without touching the per-chain pruning.
     """
-    pairs, evaluations = _run_strategy(
-        _u_chunk, (counter, event, extend, k, incremental), counter, parallelism
+    return _run_strategy(
+        _u_chunk, Goal.MINIMAL, counter, event, extend, k, incremental, parallelism
     )
-    return ExplorationResult(event, Goal.MINIMAL, extend, k, pairs, evaluations)
 
 
 def i_explore(
@@ -332,52 +332,9 @@ def i_explore(
     the first failure.  References whose shortest pair already fails are
     pruned entirely (step 2 of the paper's algorithm).
     """
-    pairs, evaluations = _run_strategy(
-        _i_chunk, (counter, event, extend, k, incremental), counter, parallelism
+    return _run_strategy(
+        _i_chunk, Goal.MAXIMAL, counter, event, extend, k, incremental, parallelism
     )
-    return ExplorationResult(event, Goal.MAXIMAL, extend, k, pairs, evaluations)
-
-
-def _consecutive_only(
-    counter: EventCounter,
-    event: EventType,
-    extend: ExtendSide,
-    k: int,
-    *,
-    incremental: bool = True,
-    parallelism: int | str | None = None,
-) -> ExplorationResult:
-    """Degenerate minimal case: the operator is monotonically decreasing
-    under the requested extension, so only consecutive point pairs can be
-    minimal (Sections 3.3/3.4)."""
-    pairs, evaluations = _run_strategy(
-        _consecutive_chunk,
-        (counter, event, extend, k, incremental),
-        counter,
-        parallelism,
-    )
-    return ExplorationResult(event, Goal.MINIMAL, extend, k, pairs, evaluations)
-
-
-def _longest_only(
-    counter: EventCounter,
-    event: EventType,
-    extend: ExtendSide,
-    k: int,
-    *,
-    incremental: bool = True,
-    parallelism: int | str | None = None,
-) -> ExplorationResult:
-    """Degenerate maximal case: the operator is monotonically increasing
-    under the requested extension, so for each reference the longest
-    extension is the only candidate maximal pair."""
-    pairs, evaluations = _run_strategy(
-        _longest_chunk,
-        (counter, event, extend, k, incremental),
-        counter,
-        parallelism,
-    )
-    return ExplorationResult(event, Goal.MAXIMAL, extend, k, pairs, evaluations)
 
 
 def explore(
@@ -392,6 +349,7 @@ def explore(
     *,
     incremental: bool = True,
     parallelism: int | str | None = None,
+    counter: EventCounter | None = None,
 ) -> ExplorationResult:
     """Run one of the eight Table-1 exploration cases.
 
@@ -416,43 +374,51 @@ def explore(
         count, or ``"auto"``.  Chains are distributed over reference
         points; the per-chain U-/I-Explore pruning is untouched and the
         result is bit-identical to a serial run.
+    counter:
+        A prebuilt counter for exactly this graph, entity, attribute list
+        and key -- the query planner passes one sharing its cube's index
+        (:meth:`repro.olap.TemporalGraphCube.event_counter`).  ``None``
+        builds one.
     """
     if k < 1:
         raise ExplorationError(f"threshold k must be positive, got {k}")
+    if counter is not None and (
+        counter.graph is not graph
+        or counter.entity is not entity
+        or counter.attributes != tuple(attributes)
+        or counter.key != key
+    ):
+        raise ExplorationError(
+            "counter was built for another graph, entity, attribute list or key"
+        )
     get_metrics().inc("exploration.runs")
     with trace_span(
         "explore", event=str(event), goal=str(goal), extend=str(extend), k=k
     ):
-        counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        kwargs: dict[str, Any] = {
-            "incremental": incremental,
-            "parallelism": parallelism,
-        }
-        if event is EventType.STABILITY:
-            if goal is Goal.MINIMAL:
-                return u_explore(counter, event, extend, k, **kwargs)
-            return i_explore(counter, event, extend, k, **kwargs)
-        if event is EventType.GROWTH:
-            if goal is Goal.MINIMAL:
-                if extend is ExtendSide.NEW:
-                    return u_explore(counter, event, extend, k, **kwargs)
-                return _consecutive_only(counter, event, extend, k, **kwargs)
-            if extend is ExtendSide.OLD:
-                return _longest_only(counter, event, extend, k, **kwargs)
-            return i_explore(counter, event, extend, k, **kwargs)
-        # Shrinkage mirrors growth with the sides swapped.
+        if counter is None:
+            counter = EventCounter(graph, entity, attributes, key)
+        # Growth extending NEW and shrinkage extending OLD extend the side
+        # whose entities are counted, so their counts move with the
+        # extension as stability's do: U-Explore finds minimal pairs and
+        # I-Explore maximal ones.  In the mirrored cases extension can
+        # only lower (minimal) or raise (maximal) the count, so only
+        # consecutive point pairs (Sections 3.3/3.4) or each reference's
+        # longest extension can qualify.
+        widening = event is EventType.STABILITY or (
+            (extend is ExtendSide.NEW) == (event is EventType.GROWTH)
+        )
+        args = (counter, event, extend, k, incremental, parallelism)
         if goal is Goal.MINIMAL:
-            if extend is ExtendSide.OLD:
-                return u_explore(counter, event, extend, k, **kwargs)
-            return _consecutive_only(counter, event, extend, k, **kwargs)
-        if extend is ExtendSide.NEW:
-            return _longest_only(counter, event, extend, k, **kwargs)
-        return i_explore(counter, event, extend, k, **kwargs)
+            if widening:
+                return _run_strategy(_u_chunk, goal, *args)
+            return _run_strategy(_consecutive_chunk, goal, *args)
+        if widening:
+            return _run_strategy(_i_chunk, goal, *args)
+        return _run_strategy(_longest_chunk, goal, *args)
 
 
 def _exhaustive_chunk(
-    payload: tuple[EventCounter, EventType, Goal, ExtendSide, int, bool],
-    task: _ReferenceRange,
+    payload: _StrategyPayload, task: _ReferenceRange
 ) -> _ChunkResult:
     """The oracle explorer's unpruned walk over one reference slice."""
     counter, event, goal, extend, k, incremental = payload
@@ -513,10 +479,6 @@ def exhaustive_explore(
         k=k,
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        pairs, evaluations = _run_strategy(
-            _exhaustive_chunk,
-            (counter, event, goal, extend, k, incremental),
-            counter,
-            parallelism,
+        return _run_strategy(
+            _exhaustive_chunk, goal, counter, event, extend, k, incremental, parallelism
         )
-        return ExplorationResult(event, goal, extend, k, pairs, evaluations)

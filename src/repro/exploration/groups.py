@@ -22,10 +22,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core import Interval, TemporalGraph
-from .events import EntityKind, EventType
+from ..core import TemporalGraph
+from ..core.fast import check_no_dangling_edges
+from .events import ChainEvaluator, EntityKind, EventCounter, EventType
 from .explore import ExtendSide, Goal, IntervalPairResult
-from .lattice import Semantics, Side
+from .lattice import Semantics
 from ..errors import ExplorationError
 
 __all__ = ["GroupExplorationResult", "explore_groups"]
@@ -63,7 +64,8 @@ class GroupExplorationResult:
 
 
 class _GroupCounter:
-    """Presence matrices plus per-entity group ids for fast bincounts."""
+    """Per-entity group ids over an event counter's static tuple codes,
+    for one ``bincount`` per candidate pair."""
 
     def __init__(
         self,
@@ -79,48 +81,32 @@ class _GroupCounter:
                     f"group exploration requires static attributes; "
                     f"{name!r} is time-varying"
                 )
-        self.graph = graph
-        self.entity = entity
-        positions = [graph.static_attrs.col_position(a) for a in attributes]
-        values = graph.static_attrs.values
-        node_tuples = {
-            node: tuple(values[i, p] for p in positions)
-            for i, node in enumerate(graph.node_presence.row_labels)
-        }
-        if entity is EntityKind.NODES:
-            keys = [node_tuples[n] for n in graph.node_presence.row_labels]
-            self.presence = graph.node_presence.values.astype(bool)
-        else:
-            keys = [
-                (node_tuples[u], node_tuples[v])
-                for u, v in graph.edge_presence.row_labels  # type: ignore[misc]
-            ]
-            self.presence = graph.edge_presence.values.astype(bool)
-        self.group_keys: list[Any] = sorted(set(keys), key=str)
-        index = {key: i for i, key in enumerate(self.group_keys)}
-        self.group_ids = np.fromiter(
-            (index[key] for key in keys), dtype=np.int64, count=len(keys)
-        )
+        if entity is EntityKind.EDGES:
+            check_no_dangling_edges(graph, error=ExplorationError)
+        self.events = EventCounter(graph, entity, attributes)
+        codes, tuples = self.events._codes, self.events._tuples
+        assert codes is not None
+        base = max(1, len(tuples))
+        # A dangling edge absent from every point (code -1) never
+        # qualifies: it joins no group, and its id 0 is never counted.
+        resolved = codes >= 0
+        distinct, inverse = np.unique(codes[resolved], return_inverse=True)
+        keys = [
+            tuples[c]
+            if entity is EntityKind.NODES
+            else (tuples[c // base], tuples[c % base])
+            for c in distinct.tolist()
+        ]
+        order = sorted(range(len(keys)), key=lambda i: str(keys[i]))
+        self.group_keys: list[Any] = [keys[i] for i in order]
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[order] = np.arange(len(keys))
+        self.group_ids = np.zeros(codes.size, dtype=np.int64)
+        self.group_ids[resolved] = rank[inverse]
 
-    def _qualify(self, side: Side) -> np.ndarray:
-        window = self.presence[:, side.interval.start : side.interval.stop + 1]
-        if side.semantics is Semantics.UNION:
-            return window.any(axis=1)
-        return window.all(axis=1)
-
-    def counts(self, event: EventType, old: Side, new: Side) -> np.ndarray:
-        """Event count per group id, in one vectorized pass."""
-        old_mask = self._qualify(old)
-        new_mask = self._qualify(new)
-        if event is EventType.STABILITY:
-            mask = old_mask & new_mask
-        elif event is EventType.GROWTH:
-            mask = new_mask & ~old_mask
-        else:
-            mask = old_mask & ~new_mask
-        return np.bincount(
-            self.group_ids[mask], minlength=len(self.group_keys)
-        )
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """Event count per group id of an event-entity mask."""
+        return np.bincount(self.group_ids[mask], minlength=len(self.group_keys))
 
 
 def explore_groups(
@@ -147,28 +133,20 @@ def explore_groups(
     found: dict[int, list[IntervalPairResult]] = {g: [] for g in range(n_groups)}
     evaluations = 0
 
+    evaluator = ChainEvaluator(counter.events, event)
     for ref in range(n_times - 1):
-        if extend is ExtendSide.NEW:
-            chain = [
-                (Side.point(ref), Side(Interval(ref + 1, stop), semantics))
-                for stop in range(ref + 1, n_times)
-            ]
-        else:
-            chain = [
-                (Side(Interval(start, ref), semantics), Side.point(ref + 1))
-                for start in range(ref, -1, -1)
-            ]
+        chain = evaluator.chain(ref, extend, semantics)
         if goal is Goal.MINIMAL:
             active = np.ones(n_groups, dtype=bool)
-            for old, new in chain:
+            for step in chain:
                 if not active.any():
                     break
                 evaluations += 1
-                counts = counter.counts(event, old, new)
+                counts = counter.counts(step.mask)
                 crossed = active & (counts >= k)
                 for g in np.flatnonzero(crossed):
                     found[int(g)].append(
-                        IntervalPairResult(old, new, int(counts[g]))
+                        IntervalPairResult(step.old, step.new, int(counts[g]))
                     )
                 active &= ~crossed
         else:
@@ -178,12 +156,12 @@ def explore_groups(
             # extension), so the whole chain is walked and the last
             # passing pair kept per group.
             candidate: dict[int, IntervalPairResult] = {}
-            for old, new in chain:
+            for step in chain:
                 evaluations += 1
-                counts = counter.counts(event, old, new)
+                counts = counter.counts(step.mask)
                 for g in np.flatnonzero(counts >= k):
                     candidate[int(g)] = IntervalPairResult(
-                        old, new, int(counts[g])
+                        step.old, step.new, int(counts[g])
                     )
             for g, pair in candidate.items():
                 found[g].append(pair)

@@ -43,6 +43,7 @@ from ..core import AggregateGraph, TemporalGraph, aggregate
 # ``repro.olap.cube.union`` by name, so the name must stay importable.
 from ..core import union  # noqa: F401
 from ..core.granularity import TimeHierarchy
+from ..exploration.events import EntityKind, EventCounter
 from ..obs.metrics import get_metrics
 from .lattice import Cuboid, canonical
 from .operations import dice_aggregate, slice_aggregate
@@ -160,6 +161,9 @@ class TemporalGraphCube:
         #: the query routes cached incidentally — the distinction the
         #: view-selection policy and Figure 10/11 stats report on.
         self._materialized: set[CacheKey] = set()
+        #: Keyless event counters per ``(entity, attributes)``: the
+        #: presence matrix and tuple codes every key of the pair shares.
+        self._counters: dict[tuple[EntityKind, tuple[str, ...]], EventCounter] = {}
         self._unbind: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
@@ -250,6 +254,30 @@ class TemporalGraphCube:
         with self._lock:
             return len(self._cache)
 
+    def event_counter(
+        self, entity: EntityKind, attributes: Sequence[str], key: Any = None
+    ) -> EventCounter:
+        """An exploration counter for ``key`` over the cube's graph.
+
+        Its key-independent index (presence matrix and tuple codes) is
+        built once per ``(entity, attributes)`` and dies with the cache
+        on :meth:`invalidate`.  Nothing that depends on an event, goal,
+        extend side or threshold is kept.
+        """
+        memo = (entity, tuple(attributes))
+        with self._lock:
+            graph = self.graph
+            counter = self._counters.get(memo)
+        if counter is None:
+            get_metrics().inc("olap.counter_builds")
+            counter = EventCounter(graph, entity, attributes)
+            with self._lock:
+                if self.graph is graph:
+                    counter = self._counters.setdefault(memo, counter)
+        else:
+            get_metrics().inc("olap.counter_hits")
+        return counter.with_key(key)
+
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
@@ -269,6 +297,7 @@ class TemporalGraphCube:
                 self.graph = graph
             self._cache.clear()
             self._materialized.clear()
+            self._counters.clear()
         get_metrics().inc("olap.cube_invalidations")
 
     def bind_store(self, store: "StreamingStore") -> Callable[[], None]:

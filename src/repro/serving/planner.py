@@ -136,15 +136,22 @@ def execute_plan(
         )
     if query.kind == "explore":
         event, goal, extend, k, entity, attributes, key = query.detail
+        kind = EntityKind(cast(str, entity))
+        names = cast("tuple[str, ...]", attributes)
+        # The cube's counter shares an index built once per graph version.
+        # An invalid k keeps explore's own error; a cube already rebound
+        # to a newer version hands over nothing.
+        counter = cube.event_counter(kind, names, key) if cast(int, k) >= 1 else None
         return explore(
             graph,
             EventType(cast(str, event)),
             Goal(cast(str, goal)),
             ExtendSide(cast(str, extend)),
             cast(int, k),
-            entity=EntityKind(cast(str, entity)),
-            attributes=list(cast("tuple[str, ...]", attributes)),
+            entity=kind,
+            attributes=list(names),
             key=key,
+            counter=counter if counter is not None and counter.graph is graph else None,
         )
     raise InvalidTypeError(f"unknown query kind {query.kind!r}")
 

@@ -267,16 +267,6 @@ class ExplorationView(StreamingView):
     # Maintenance
     # ------------------------------------------------------------------
 
-    def _presence(self, graph: TemporalGraph) -> np.ndarray:
-        if self.entity is EntityKind.NODES:
-            return graph.node_presence.values.astype(bool)
-        return graph.edge_presence.values.astype(bool)
-
-    def _entity_labels(self, graph: TemporalGraph) -> tuple[Hashable, ...]:
-        if self.entity is EntityKind.NODES:
-            return graph.node_presence.row_labels
-        return graph.edge_presence.row_labels
-
     def rebuild(self, graph: TemporalGraph) -> None:
         for name in self.attributes:
             if not graph.is_static(name):
@@ -296,7 +286,7 @@ class ExplorationView(StreamingView):
                     f"view reference {reference} out of range 0..{n_times - 1}"
                 )
             self._reference = reference
-        presence = self._presence(graph)
+        presence = graph.storage.presence_matrix(self.entity.value)
         self._old_mask = presence[:, self._reference].copy()
         self._match = (
             static_match_mask(graph, self.entity, self.attributes, self.key)
@@ -309,7 +299,7 @@ class ExplorationView(StreamingView):
             self._absorb(presence[:, index], index)
 
     def extend(self, graph: TemporalGraph, update: SnapshotUpdate) -> None:
-        labels = self._entity_labels(graph)
+        labels = graph.storage.entity_labels(self.entity.value)
         n_rows = len(labels)
         previous_rows = self._old_mask.shape[0]
         self._old_mask = _padded(self._old_mask, n_rows)
@@ -327,7 +317,7 @@ class ExplorationView(StreamingView):
             )
             self._match = np.concatenate([self._match, appended])
         index = len(graph.timeline.labels) - 1
-        column = self._presence(graph)[:, index]
+        column = graph.storage.presence_matrix(self.entity.value)[:, index]
         self._absorb(column, index)
 
     def _absorb(self, column: np.ndarray, index: int) -> None:

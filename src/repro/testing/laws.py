@@ -17,9 +17,10 @@ engine rejects it identically.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -38,13 +39,15 @@ from ..core import (
     union,
 )
 from ..core.evolution import EvolutionWeights
+from ..core.fast import check_no_dangling_edges
 from ..core.updates import split_history
-from ..errors import ConfigurationError
+from ..errors import AggregationError, ConfigurationError, ExplorationError
 from ..exploration.events import ChainEvaluator, EntityKind, EventCounter, EventType
 from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..materialize.streaming import AggregateTotalsView
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
 from .generators import graph_to_maps, random_time_sets
+from .reference import aggregate_reference
 
 __all__ = ["Law", "register_law", "law_registry", "get_laws"]
 
@@ -527,7 +530,9 @@ def _lattice_monotone(graph: TemporalGraph, rng: np.random.Generator) -> str | N
 
 @register_law(
     "event-counts-match-operators",
-    "event edge counts equal the n_edges of the matching operator graphs",
+    "event counts equal the sizes of the matching operator graphs, and "
+    "attributed or keyed counts their DIST weights; over a dangling edge, "
+    "an edge count that reads endpoint attributes raises",
 )
 def _event_counts_match_operators(
     graph: TemporalGraph, rng: np.random.Generator
@@ -544,27 +549,64 @@ def _event_counts_match_operators(
     old, new = random_side(), random_side()
     old_labels = old.labels(graph.timeline)
     new_labels = new.labels(graph.timeline)
-    counter = EventCounter(graph, entity=EntityKind.EDGES)
-    cases = (
-        (EventType.STABILITY, intersection(graph, old_labels, new_labels)),
-        (EventType.GROWTH, difference(graph, new_labels, old_labels)),
-        (EventType.SHRINKAGE, difference(graph, old_labels, new_labels)),
-    )
-    for event, operator_graph in cases:
-        counted = counter.count(event, old, new)
-        if counted != operator_graph.n_edges:
+    operators = {
+        EventType.STABILITY: intersection(graph, old_labels, new_labels),
+        EventType.GROWTH: difference(graph, new_labels, old_labels),
+        EventType.SHRINKAGE: difference(graph, old_labels, new_labels),
+    }
+    cases = [(EntityKind.EDGES, event) for event in operators]
+    cases.append((EntityKind.NODES, EventType.STABILITY))
+    for entity, event in cases:
+        counted = EventCounter(graph, entity).count(event, old, new)
+        size = getattr(operators[event], f"n_{entity}")
+        if counted != size:
             return (
-                f"{event} count {counted} != operator n_edges "
-                f"{operator_graph.n_edges} for {old}/{new}"
+                f"{event} {entity} count {counted} != operator graph size "
+                f"{size} for {old}/{new}"
             )
-    node_counter = EventCounter(graph, entity=EntityKind.NODES)
-    stable_nodes = node_counter.count(EventType.STABILITY, old, new)
-    operator_nodes = intersection(graph, old_labels, new_labels).n_nodes
-    if stable_nodes != operator_nodes:
-        return (
-            f"stability node count {stable_nodes} != intersection n_nodes "
-            f"{operator_nodes} for {old}/{new}"
+    # Attributed counts: static, time-varying or mixed attributes; no
+    # key, a key drawn from the graph, and an unseen key.
+    attrs = _some_attributes(rng, graph)
+    unseen = ("<unseen>",) * len(attrs)
+    try:
+        check_no_dangling_edges(graph)
+    except AggregationError:
+        keys: list[Any] = [(unseen, unseen)]
+        if not all(graph.is_static(name) for name in attrs):
+            keys.append(None)  # time-varying tuples read endpoints unkeyed
+        for key in keys:
+            try:
+                EventCounter(graph, EntityKind.EDGES, attrs, key)
+            except ExplorationError:
+                continue
+            return f"edge count by {attrs!r} key {key!r} ignored a dangling edge"
+        return None
+    whole = aggregate_reference(graph, attrs)
+    for entity, event in cases:
+        nodes = entity is EntityKind.NODES
+        result = aggregate_reference(operators[event], attrs)
+        weights: Mapping[Any, int] = (
+            result.node_weights if nodes else result.edge_weights
         )
+        pool: Mapping[Any, int] = whole.node_weights if nodes else whole.edge_weights
+        drawn = sorted(pool, key=repr)
+        keys = [None, unseen if nodes else (unseen, unseen)]
+        keys += [drawn[int(rng.integers(len(drawn)))]] if drawn else []
+        shared = EventCounter(graph, entity, attrs)
+        for key in keys:
+            # A key bound to the shared index, or a counter built for it.
+            counter = (
+                shared.with_key(key)
+                if rng.integers(2)
+                else EventCounter(graph, entity, attrs, key)
+            )
+            counted = counter.count(event, old, new)
+            expected = sum(weights.values()) if key is None else weights.get(key, 0)
+            if counted != expected:
+                return (
+                    f"{event} {entity} count by {attrs!r} key {key!r} is "
+                    f"{counted}, DIST weight {expected} for {old}/{new}"
+                )
     return None
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
@@ -301,6 +302,7 @@ def _serving_cache_transparency(
     from ..query.ast import (
         AggregateExpr,
         EvolutionExpr,
+        ExploreExpr,
         OperatorExpr,
         QueryExpr,
         WindowExpr,
@@ -325,18 +327,44 @@ def _serving_cache_transparency(
         n = 2 if name in ("intersection", "difference") else int(rng.integers(1, 3))
         return OperatorExpr(name, tuple(window() for _ in range(n)))
 
+    present = np.argwhere(graph.node_presence.values)
+
+    def explore_expr(attrs: tuple[str, ...]) -> ExploreExpr:
+        """An explore statement, keyed by the tuples of random present
+        cells half of the time."""
+        entity = ("nodes", "edges")[int(rng.integers(2))]
+        cells = present[rng.integers(len(present), size=2)] if len(present) else present
+        tuples = [
+            tuple(graph.attribute_value(graph.nodes[r], a, labels[c]) for a in attrs)
+            for r, c in cells
+        ]
+        key: Any = None
+        if attrs and tuples and rng.integers(2):
+            key = tuples[0] if entity == "nodes" else tuple(tuples)
+        return ExploreExpr(
+            tuple(EventType)[int(rng.integers(3))].value,
+            tuple(Goal)[int(rng.integers(2))].value,
+            tuple(ExtendSide)[int(rng.integers(2))].value,
+            int(rng.integers(0, 4)),
+            entity,
+            attrs,
+            key,
+        )
+
     exprs: list[QueryExpr] = []
     for _ in range(3):
         attrs = tuple(_pick_attributes(rng, graph))
-        choice = int(rng.integers(3))
-        if choice == 0 or not attrs:
+        choice = int(rng.integers(4))
+        if choice == 3:
+            exprs.append(explore_expr(attrs if rng.integers(3) else ()))
+        elif choice == 0 or not attrs:
             exprs.append(operator())
         elif choice == 1:
             exprs.append(AggregateExpr(attrs, bool(rng.integers(2)), operator()))
         else:
             exprs.append(EvolutionExpr(window(), window(), attrs))
         last = exprs[-1]
-        if len(attrs) > 1 and not isinstance(last, OperatorExpr):
+        if len(attrs) > 1 and isinstance(last, (AggregateExpr, EvolutionExpr)):
             # The same query with the attribute list written in reverse:
             # it shares the canonical cache entry and must still match
             # its own from-scratch evaluation after permutation.

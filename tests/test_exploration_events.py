@@ -1,15 +1,23 @@
 """Tests for EventCounter: side semantics and result(G) counting."""
 
+import numpy as np
 import pytest
 
 from repro.core import Interval
+from repro.errors import ExplorationError
 from repro.exploration import (
     EntityKind,
     EventCounter,
     EventType,
+    ExtendSide,
+    Goal,
     Semantics,
     Side,
+    explore,
 )
+from repro.exploration.events import static_match_mask
+from repro.query import run_query
+from repro.testing.generators import graph_from_maps
 
 
 @pytest.fixture()
@@ -263,3 +271,131 @@ class TestEventWindow:
                     value = tiny_graph.attribute_value(node, "level", t)
                     appearances.add((node, value))
         assert counter.count(EventType.STABILITY, old, new) == len(appearances)
+
+
+def _dangling_graph(edge_times):
+    return graph_from_maps(
+        ["t0", "t1"],
+        {"u1": ["t0", "t1"], "u2": ["t0", "t1"]},
+        edge_times,
+        static={"u1": {"gender": "m"}, "u2": {"gender": "f"}},
+        varying={
+            "u1": {"level": {"t0": 1, "t1": 2}},
+            "u2": {"level": {"t0": 1, "t1": 1}},
+        },
+        allow_dangling=True,
+    )
+
+
+GHOST = {("u1", "u2"): ["t1"], ("u2", "ghost"): ["t1"]}
+
+
+class TestDanglingEdges:
+    """Regression: an edge counter that reads endpoint attributes raises
+    if and only if a dangling edge is present on the timeline, whatever
+    the key (a static key used to raise or not depending on whether its
+    source tuple matched)."""
+
+    @pytest.mark.parametrize(
+        "attributes,key",
+        [
+            (["gender"], (("m",), ("f",))),
+            (["gender"], (("f",), ("m",))),
+            (["gender"], (("x",), ("x",))),
+            (["level"], None),
+            (["level"], ((1,), (1,))),
+            (["gender", "level"], (("f", 1), ("m", 2))),
+        ],
+    )
+    def test_raises_for_every_key(self, attributes, key):
+        with pytest.raises(ExplorationError, match="'ghost'"):
+            EventCounter(_dangling_graph(GHOST), EntityKind.EDGES, attributes, key)
+
+    @pytest.mark.parametrize("key", ["m -> f", "f -> m"])
+    def test_keyed_explore_raises(self, key):
+        graph = _dangling_graph(GHOST)
+        with pytest.raises(ExplorationError):
+            run_query(
+                graph,
+                f"explore growth minimal extend new k 1 on edges by gender key {key}",
+            )
+
+    def test_names_first_dangling_edge_in_row_order(self):
+        graph = _dangling_graph({("u1", "ghost1"): ["t0"], ("ghost2", "u2"): ["t1"]})
+        with pytest.raises(ExplorationError, match="ghost1"):
+            EventCounter(graph, EntityKind.EDGES, ["level"])
+
+    def test_dangling_edge_absent_from_timeline_is_ignored(self):
+        graph = _dangling_graph({("u1", "u2"): ["t1"], ("u2", "ghost"): []})
+        counter = EventCounter(graph, EntityKind.EDGES, ["gender"], (("m",), ("f",)))
+        assert counter.count(EventType.GROWTH, Side.point(0), Side.point(1)) == 1
+
+    def test_counts_reading_no_endpoint_attribute_do_not_raise(self):
+        graph = _dangling_graph(GHOST)
+        growth = (EventType.GROWTH, Side.point(0), Side.point(1))
+        for attributes in ((), ("gender",)):
+            assert EventCounter(graph, EntityKind.EDGES, attributes).count(*growth) == 2
+        nodes = EventCounter(graph, EntityKind.NODES, ["gender"], ("f",))
+        assert nodes.count(EventType.STABILITY, Side.point(0), Side.point(1)) == 1
+
+
+class TestSharedIndex:
+    """Keyed counters share one key-independent index."""
+
+    @pytest.mark.parametrize(
+        "attributes,values", [(["gender"], "fm"), (["publications"], (1, 2, 3))]
+    )
+    def test_with_key_shares_index_and_counts_alike(
+        self, paper_graph, attributes, values
+    ):
+        shared = EventCounter(paper_graph, EntityKind.EDGES, attributes)
+        pairs = ((Side.point(0), Side.point(1)), (Side.point(1), Side.point(2)))
+        for source in values:
+            key = ((source,), (values[0],))
+            keyed = shared.with_key(key)
+            assert keyed._presence() is shared._presence()
+            assert keyed.key == key and shared.key is None
+            direct = EventCounter(paper_graph, EntityKind.EDGES, attributes, key)
+            for event in EventType:
+                for old, new in pairs:
+                    assert keyed.count(event, old, new) == direct.count(event, old, new)
+
+    def test_with_key_requires_attributes(self, paper_graph):
+        with pytest.raises(ExplorationError):
+            EventCounter(paper_graph).with_key(("f",))
+
+    @pytest.mark.parametrize(
+        "entity,key", [(EntityKind.NODES, ("f",)), (EntityKind.EDGES, (("f",), ("m",)))]
+    )
+    def test_static_match_mask_delta_path(self, small_dblp, entity, key):
+        full = static_match_mask(small_dblp, entity, ["gender"], key)
+        labels = small_dblp.nodes if entity is EntityKind.NODES else small_dblp.edges
+        half = len(labels) // 2
+        tail = static_match_mask(
+            small_dblp, entity, ["gender"], key, entities=labels[half:]
+        )
+        assert full.any()
+        assert np.array_equal(tail, full[half:])
+
+
+class TestCounterHandOff:
+    ARGS = (EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1)
+
+    def test_matching_counter_gives_same_result(self, paper_graph):
+        query = (EntityKind.NODES, ["gender"], ("f",))
+        counter = EventCounter(paper_graph, query[0], query[1]).with_key(query[2])
+        handed = explore(paper_graph, *self.ARGS, *query, counter=counter)
+        built = explore(paper_graph, *self.ARGS, *query)
+        assert not handed.diff(built)
+        assert handed.evaluations == built.evaluations
+
+    def test_counter_for_another_query_rejected(self, paper_graph):
+        counter = EventCounter(paper_graph, EntityKind.NODES, ["gender"], ("f",))
+        for graph, entity, attributes, key in (
+            (paper_graph.with_storage("dense"), EntityKind.NODES, ["gender"], ("f",)),
+            (paper_graph, EntityKind.EDGES, ["gender"], ("f",)),
+            (paper_graph, EntityKind.NODES, ["publications"], ("f",)),
+            (paper_graph, EntityKind.NODES, ["gender"], ("m",)),
+        ):
+            with pytest.raises(ExplorationError, match="counter was built"):
+                explore(graph, *self.ARGS, entity, attributes, key, counter=counter)

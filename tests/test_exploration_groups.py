@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.errors import ExplorationError
 from repro.exploration import (
     EntityKind,
     EventType,
@@ -12,6 +13,7 @@ from repro.exploration import (
     explore,
     explore_groups,
 )
+from repro.testing.generators import graph_from_maps
 
 
 class TestEquivalenceWithSingleGroup:
@@ -124,6 +126,20 @@ class TestValidation:
                 small_dblp, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW,
                 1, ["publications"],
             )
+
+    def test_dangling_edge_raises_taxonomy_error(self):
+        graph = graph_from_maps(
+            ["t0", "t1"],
+            {"u1": ["t0", "t1"], "u2": ["t0", "t1"]},
+            {("u1", "u2"): ["t1"], ("u2", "ghost"): ["t1"]},
+            static={"u1": {"gender": "m"}, "u2": {"gender": "f"}},
+            allow_dangling=True,
+        )
+        args = (EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1, ["gender"])
+        with pytest.raises(ExplorationError, match="'ghost'"):
+            explore_groups(graph, *args)
+        nodes = explore_groups(graph, *args, entity=EntityKind.NODES)
+        assert set(nodes.pairs_by_group) == {("m",), ("f",)}
 
     def test_rejects_bad_k(self, small_dblp):
         with pytest.raises(ValueError):

@@ -325,6 +325,79 @@ class TestServer:
         _same_result(result, naive)
 
 
+EXPLORE_STATEMENTS = (
+    "explore growth minimal extend new k 1 on edges by gender key f -> f",
+    "explore growth minimal extend new k 2 on edges by gender key m -> f",
+    "explore stability maximal extend old k 1 on nodes by gender key f",
+    "explore shrinkage minimal extend old k 1 on nodes by publications key 1",
+    "explore growth maximal extend new k 1 on edges by gender, publications",
+    "explore stability minimal extend new k 1 on nodes",
+)
+
+SECOND_UPDATE = SnapshotUpdate(
+    time="t4",
+    nodes={"u2": {"publications": 2}, "u6": {"publications": 1}},
+    edges=[("u2", "u6")],
+)
+
+
+class TestServedExploration:
+    """Explore statements reuse the cube's counter index."""
+
+    def test_follows_store_across_appends(self, paper_graph):
+        store = StreamingStore(paper_graph)
+        with QueryServer(store) as server:
+            for update in (None, UPDATE, SECOND_UPDATE):
+                if update is not None:
+                    store.append_snapshot(update)
+                for text in EXPLORE_STATEMENTS:
+                    served = server.serve(text)
+                    naive = run_query(store.graph, text)
+                    assert served.version == store.version
+                    _same_result(served.result, naive)
+                    assert served.result.evaluations == naive.evaluations
+
+    def test_memo_holds_one_counter_per_entity_and_attributes(self, paper_graph):
+        metrics = get_metrics()
+        before = dict(metrics.snapshot()["counters"])
+        server = QueryServer(paper_graph)
+        for text in EXPLORE_STATEMENTS:
+            server.serve(text)
+        counters = metrics.snapshot()["counters"]
+
+        def delta(name):
+            return counters.get(name, 0) - before.get(name, 0)
+
+        assert {(str(entity), names) for entity, names in server.cube._counters} == {
+            ("edges", ("gender",)),
+            ("nodes", ("gender",)),
+            ("nodes", ("publications",)),
+            ("edges", ("gender", "publications")),
+            ("nodes", ()),
+        }
+        assert delta("olap.counter_builds") == 5
+        assert delta("olap.counter_hits") == 1
+        server.cube.invalidate()
+        assert not server.cube._counters
+
+    def test_served_explores_call_planner_explore(self, paper_graph, monkeypatch):
+        import repro.serving.planner as planner
+
+        handed = []
+        original = planner.explore
+
+        def spy(*args, **kwargs):
+            handed.append(kwargs["counter"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "explore", spy)
+        server = QueryServer(paper_graph)
+        for text in EXPLORE_STATEMENTS:
+            server.serve(text)
+        assert len(handed) == len(EXPLORE_STATEMENTS)
+        assert all(counter.graph is paper_graph for counter in handed)
+
+
 class TestWorkload:
     def test_report_shape(self, paper_graph):
         server = QueryServer(paper_graph)
