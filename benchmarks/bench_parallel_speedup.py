@@ -5,6 +5,10 @@ dominate the paper's evaluation workloads:
 
 * **exploration** — pruned STABILITY/MAXIMAL/NEW exploration over a
   Figure-13-scale synthetic timeline, serial vs. 2 and 4 workers;
+* **long exploration** (``explore_long``) — the same exploration over a
+  timeline twice as long, serial vs. 2 workers: chain work grows
+  faster than the timeline while pool startup stays fixed, so this is
+  where a 2-worker pool can beat inline on a 2-CPU machine;
 * **aggregation** — full-window DIST aggregation over the same graph,
   serial vs. 2 and 4 workers;
 * **inline guarantee** — ``parallelism=1`` must cost the same as the
@@ -53,6 +57,8 @@ GATE = 1.8
 GATE_MIN_CPUS = 4
 
 WORKER_COUNTS = (2, 4)
+#: Workers for the long-timeline exploration row.
+LONG_WORKER_COUNTS = (2,)
 
 
 def synthetic_graph(n_times: int, nodes: int, edges: int, seed: int = 7):
@@ -90,11 +96,11 @@ def _aggregate_fn(graph, workers):
     )
 
 
-def bench_site(name, graph, make_fn, repeats):
+def bench_site(name, graph, make_fn, repeats, worker_counts=WORKER_COUNTS):
     """Serial vs. pooled timings for one fan-out site, parity-checked."""
     serial = measure(make_fn(graph, None), repeats=repeats)
     rows = []
-    for workers in WORKER_COUNTS:
+    for workers in worker_counts:
         pooled_result = make_fn(graph, workers)()
         assert serial.result.diff(pooled_result) == (), (
             f"{name}: parallelism={workers} diverged from serial"
@@ -167,6 +173,10 @@ def main(argv=None):
     print(f"parallel speedup ({cpu_count} CPUs):")
     rows = bench_site("explore", graph, _explore_fn, repeats)
     rows += bench_site("aggregate", graph, _aggregate_fn, repeats)
+    long_graph = synthetic_graph(2 * n_times, nodes, edges)
+    rows += bench_site(
+        "explore_long", long_graph, _explore_fn, repeats, LONG_WORKER_COUNTS
+    )
     inline_row = bench_inline_guarantee(graph, repeats)
 
     report = {
@@ -183,6 +193,7 @@ def main(argv=None):
                 "nodes_per_t": nodes,
                 "edges_per_t": edges,
             },
+            "long_n_times": 2 * n_times,
         },
         "speedups": rows,
         "inline_guarantee": inline_row,

@@ -26,8 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from bench_fabric import GATE as FABRIC_GATE
-from bench_fabric import main as fabric_bench_main
 from bench_parallel_speedup import GATE, GATE_MIN_CPUS
 from bench_parallel_speedup import main as parallel_bench_main
 from bench_serving import GATE as SERVING_GATE
@@ -108,6 +106,7 @@ class TestParallelBaseline:
             ("explore", 4),
             ("aggregate", 2),
             ("aggregate", 4),
+            ("explore_long", 2),
         }
         for row in parallel_baseline["speedups"]:
             assert _recomputes(
@@ -235,37 +234,6 @@ class TestStorageBaseline:
             ), f"{row['dataset']}: columnar mask hot path regressed"
 
 
-class TestFabricBaseline:
-    def test_structure(self, fabric_baseline):
-        meta = fabric_baseline["meta"]
-        assert not meta["smoke"]
-        assert meta["gate"] == FABRIC_GATE
-        assert meta["workers"] >= 2
-        assert meta["n_queries"] > 0
-        modes = {row["mode"] for row in fabric_baseline["arms"]}
-        assert modes == {"fabric", "percall"}
-        for row in fabric_baseline["arms"]:
-            assert row["requests"] == meta["requests"]
-            assert row["workers"] == meta["workers"]
-            assert row["qps"] > 0
-            assert row["p50_ms"] <= row["p99_ms"]
-        by_mode = {row["mode"]: row for row in fabric_baseline["arms"]}
-        assert _recomputes(
-            fabric_baseline["speedup"],
-            by_mode["fabric"]["qps"],
-            by_mode["percall"]["qps"],
-        )
-
-    def test_amortization_gate(self, fabric_baseline, bench_tolerance):
-        # Persistent pool vs per-call pool is a lifecycle-only ratio on
-        # identical work, so — unlike the parallel speedup gate — it
-        # binds regardless of the recording machine's CPU count.
-        gate = fabric_baseline["meta"]["gate"]
-        assert fabric_baseline["speedup"] >= gate * (1 - bench_tolerance), (
-            "persistent fabric regressed below the amortization gate"
-        )
-
-
 class TestBaselineCatalogue:
     """Every committed ``BENCH_*.json`` must be parsable and covered.
 
@@ -282,7 +250,6 @@ class TestBaselineCatalogue:
         "BENCH_streaming.json": "streaming_baseline",
         "BENCH_serving.json": "serving_baseline",
         "BENCH_storage.json": "storage_baseline",
-        "BENCH_fabric.json": "fabric_baseline",
     }
 
     def test_every_committed_report_is_covered_and_parsable(self):
@@ -319,7 +286,7 @@ class TestLiveSmoke:
         assert exit_code == 0
         report = json.loads(output.read_text(encoding="utf-8"))
         assert report["meta"]["smoke"] is True
-        assert len(report["speedups"]) == 4
+        assert len(report["speedups"]) == 5
         assert report["inline_guarantee"]["serial_best_s"] > 0
 
     def test_streaming_bench_smoke_run(self, tmp_path):
@@ -360,19 +327,5 @@ class TestLiveSmoke:
         assert {row["mode"] for row in report["arms"]} == {
             "cached",
             "uncached",
-        }
-        assert report["speedup"] > 0
-
-    def test_fabric_bench_smoke_run(self, tmp_path):
-        """End-to-end smoke run: the fabric-vs-naive parity asserts fire
-        on *this* machine before either pool lifecycle is timed."""
-        output = tmp_path / "BENCH_fabric.json"
-        exit_code = fabric_bench_main(["--smoke", "--output", str(output)])
-        assert exit_code == 0
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["meta"]["smoke"] is True
-        assert {row["mode"] for row in report["arms"]} == {
-            "fabric",
-            "percall",
         }
         assert report["speedup"] > 0

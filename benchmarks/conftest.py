@@ -130,11 +130,6 @@ def storage_baseline() -> dict:
 
 
 @pytest.fixture(scope="session")
-def fabric_baseline() -> dict:
-    return load_baseline("BENCH_fabric.json")
-
-
-@pytest.fixture(scope="session")
 def dblp():
     """The DBLP-like graph at the benchmark scale."""
     return generate_dblp(scale=BENCH_SCALE, seed=7 + TEST_SEED)

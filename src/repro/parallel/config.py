@@ -17,24 +17,12 @@ evaluate) and work below :func:`min_parallel_work` stays inline.  An
 *explicit* request always gets the pool; the parity suite relies on
 forcing ``ParallelExecutor(workers=2)`` onto tiny graphs.
 
-Which *backend* serves a multi-worker resolution is a second, orthogonal
-axis: ``REPRO_PARALLEL_BACKEND`` selects ``"parallel"`` (the per-call
-pool, the default), ``"sharded"`` (one process-wide persistent
-:class:`~repro.parallel.fabric.ShardedExecutor` shared by every fan-out
-with the same pool shape — see :func:`shared_fabric`), or ``"inline"``
-(force serial, a debugging escape hatch).  Callers can also bypass
-resolution entirely by opening an :func:`executor_scope` around a
-specific executor instance — the seam the serving layer uses to
-multiplex every request onto one fabric.
-
 Results never depend on which executor ran: the gate is purely a
-performance heuristic, and the parity suite diffs all three backends
-bit-exactly.
+performance heuristic.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
 from collections.abc import Iterator
@@ -42,33 +30,22 @@ from contextlib import contextmanager
 
 from ..errors import ConfigurationError
 from .executor import Executor, InlineExecutor, ParallelExecutor, in_worker
-from .fabric import ShardedExecutor
 
 __all__ = [
     "default_parallelism",
     "resolve_parallelism",
     "parallelism_scope",
-    "executor_scope",
     "get_executor",
     "min_parallel_work",
     "parallel_backend",
-    "shared_fabric",
-    "close_shared_fabrics",
     "ENV_WORKERS",
     "ENV_MIN_WORK",
-    "ENV_BACKEND",
 ]
 
 #: Environment variable flipping the default executor (CI parity job).
 ENV_WORKERS = "REPRO_PARALLEL_WORKERS"
 #: Environment variable overriding the implicit-parallelism work floor.
 ENV_MIN_WORK = "REPRO_PARALLEL_MIN_WORK"
-#: Environment variable selecting the executor backend for multi-worker
-#: resolutions: "parallel" (per-call pool, default), "sharded"
-#: (process-wide persistent fabric), or "inline" (force serial).
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
-
-_BACKENDS = ("parallel", "sharded", "inline")
 
 #: Below this much estimated work, an *implicit* parallel default stays
 #: inline — pool startup would dominate (see docs/parallelism.md).
@@ -86,12 +63,6 @@ def _scope_stack() -> list[int]:
         stack = _SCOPE.stack = []
     return stack
 
-
-def _executor_stack() -> list[Executor]:
-    stack = getattr(_SCOPE, "executors", None)
-    if stack is None:
-        stack = _SCOPE.executors = []
-    return stack
 
 Parallelism = int | str | None
 
@@ -168,81 +139,14 @@ def parallelism_scope(parallelism: Parallelism) -> Iterator[int]:
         stack.pop()
 
 
-@contextmanager
-def executor_scope(executor: Executor) -> Iterator[Executor]:
-    """Pin a specific executor instance for this thread's fan-outs.
-
-    Every :func:`get_executor` resolution inside the scope returns
-    ``executor`` directly — no backend selection, no work-floor gating
-    (the caller already decided).  Thread-local and re-entrant, like
-    :func:`parallelism_scope`.  This is how the serving layer multiplexes
-    many concurrent requests onto one shared
-    :class:`~repro.parallel.fabric.ShardedExecutor` instead of forking a
-    pool per request.
-    """
-    stack = _executor_stack()
-    stack.append(executor)
-    try:
-        yield executor
-    finally:
-        stack.pop()
-
-
 def parallel_backend() -> str:
-    """The executor backend name from ``REPRO_PARALLEL_BACKEND``."""
-    raw = (os.environ.get(ENV_BACKEND) or "parallel").strip() or "parallel"
-    if raw not in _BACKENDS:
-        raise ConfigurationError(
-            f"{ENV_BACKEND} must be one of {_BACKENDS}, got {raw!r}"
-        )
-    return raw
+    """The name of the executor multi-worker resolutions build.
 
-
-# Process-wide shared fabrics, keyed by pool shape.  A sanctioned
-# registry (GT009): guarded by _FABRIC_LOCK, drained at exit.
-_REGISTRY: dict[tuple[int, int | None, float | None], ShardedExecutor] = {}
-_FABRIC_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
-
-
-def shared_fabric(
-    workers: int,
-    *,
-    chunk_size: int | None = None,
-    timeout: float | None = None,
-) -> ShardedExecutor:
-    """The process-wide persistent fabric for a pool shape.
-
-    One :class:`~repro.parallel.fabric.ShardedExecutor` per
-    ``(workers, chunk_size, timeout)`` key is created lazily, cached,
-    and reused by every fan-out resolving under the ``sharded`` backend
-    — that sharing is the whole point: payload pins and warm workers
-    amortize across call sites.  A fabric found closed (a test drained
-    it) is replaced transparently.  All cached fabrics drain at
-    interpreter exit via :func:`close_shared_fabrics`.
+    Always ``"parallel"``: :class:`~repro.parallel.ParallelExecutor` is
+    the only pooled executor.  Run metadata records it beside
+    :func:`default_parallelism`.
     """
-    global _ATEXIT_REGISTERED  # lint: ignore[GT009]
-    key = (workers, chunk_size, timeout)
-    with _FABRIC_LOCK:
-        fabric = _REGISTRY.get(key)
-        if fabric is None or fabric.closed:
-            fabric = ShardedExecutor(
-                workers, chunk_size=chunk_size, timeout=timeout
-            )
-            _REGISTRY[key] = fabric
-            if not _ATEXIT_REGISTERED:
-                _ATEXIT_REGISTERED = True  # lint: ignore[GT009]
-                atexit.register(close_shared_fabrics)
-        return fabric
-
-
-def close_shared_fabrics() -> None:
-    """Drain and drop every cached shared fabric (idempotent)."""
-    with _FABRIC_LOCK:
-        fabrics = list(_REGISTRY.values())
-        _REGISTRY.clear()
-    for fabric in fabrics:
-        fabric.close()
+    return "parallel"
 
 
 def get_executor(
@@ -258,25 +162,11 @@ def get_executor(
     steps); it only matters when ``parallelism`` is ``None`` — an
     explicitly requested pool is never gated away.  Inside a pool
     worker this always returns the inline executor (no nested pools).
-    An open :func:`executor_scope` short-circuits everything — the
-    pinned executor handles its own inline trampoline for nested calls.
-    Otherwise, multi-worker resolutions go to the backend selected by
-    ``REPRO_PARALLEL_BACKEND``: a fresh per-call
-    :class:`~repro.parallel.ParallelExecutor` (default) or the shared
-    persistent fabric (:func:`shared_fabric`).
     """
-    pinned = _executor_stack()
-    if pinned:
-        return pinned[-1]
     explicit = parallelism is not None
     workers = resolve_parallelism(parallelism)
     if workers <= 1 or in_worker():
         return InlineExecutor()
     if not explicit and task_hint is not None and task_hint < min_parallel_work():
         return InlineExecutor()
-    backend = parallel_backend()
-    if backend == "inline":
-        return InlineExecutor()
-    if backend == "sharded":
-        return shared_fabric(workers, chunk_size=chunk_size, timeout=timeout)
     return ParallelExecutor(workers, chunk_size=chunk_size, timeout=timeout)

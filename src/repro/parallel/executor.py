@@ -140,23 +140,20 @@ def _picklable(exc: BaseException) -> BaseException | None:
     return exc
 
 
-def _execute_chunk(
-    fn: TaskFn,
-    payload: Any,
-    chunk_index: int,
-    tasks: Sequence[Any],
-    trace_enabled: bool,
+def _run_chunk(
+    chunk_index: int, tasks: list[Any]
 ) -> _ChunkOutcome | _ChunkFailure:
     """Worker-side chunk loop: fresh observability, then run each task.
 
     Every chunk runs under its own tracer and metrics registry so the
     outcome carries exactly this chunk's delta; the parent merges the
     deltas in chunk order, which makes parallel traces/counters add up
-    to the serial run's.  Shared by the per-call pool workers here and
-    the persistent fabric workers (:mod:`repro.parallel.fabric`), so
-    both backends surface identical outcomes for identical chunks.
+    to the serial run's.
     """
-    tracer = Tracer(enabled=trace_enabled)
+    state = _SHARED
+    if state is None:  # pragma: no cover - defends against pool misuse
+        raise ParallelError("worker has no shared state; pool misconfigured")
+    tracer = Tracer(enabled=state.trace_enabled)
     registry = MetricsRegistry()
     previous_tracer = set_tracer(tracer)
     previous_metrics = set_metrics(registry)
@@ -165,7 +162,7 @@ def _execute_chunk(
         with tracer.span("parallel.chunk", chunk=chunk_index, tasks=len(tasks)):
             for task in tasks:
                 try:
-                    results.append(fn(payload, task))
+                    results.append(state.fn(state.payload, task))
                 except Exception as exc:
                     return _ChunkFailure(
                         task=task,
@@ -176,24 +173,12 @@ def _execute_chunk(
                     )
         return _ChunkOutcome(
             results=results,
-            span=tracer.last_root if trace_enabled else None,
+            span=tracer.last_root if state.trace_enabled else None,
             metrics=registry.dump(),
         )
     finally:
         set_tracer(previous_tracer)
         set_metrics(previous_metrics)
-
-
-def _run_chunk(
-    chunk_index: int, tasks: list[Any]
-) -> _ChunkOutcome | _ChunkFailure:
-    """Pool-worker entry point: run one chunk against the shared state."""
-    state = _SHARED
-    if state is None:  # pragma: no cover - defends against pool misuse
-        raise ParallelError("worker has no shared state; pool misconfigured")
-    return _execute_chunk(
-        state.fn, state.payload, chunk_index, tasks, state.trace_enabled
-    )
 
 
 class Executor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from ..errors import ConfigurationError, ParallelError
 
@@ -42,24 +42,15 @@ class Chunk:
 
 
 def plan_chunks(
-    n_tasks: int,
-    workers: int,
-    chunk_size: int | None = None,
-    *,
-    max_chunks: int | None = None,
+    n_tasks: int, workers: int, chunk_size: int | None = None
 ) -> tuple[Chunk, ...]:
     """Split ``range(n_tasks)`` into ordered, contiguous, disjoint chunks.
 
     ``chunk_size=None`` picks a size targeting
     :data:`DEFAULT_CHUNKS_PER_WORKER` chunks per worker (at least 1 task
-    each).  ``max_chunks`` caps the number of chunks instead (the fabric
-    uses it to bound per-call message count); it is mutually exclusive
-    with an explicit ``chunk_size`` because the two caps can conflict.
-
-    Edge cases always produce well-formed plans: ``n_tasks=0`` yields no
-    chunks (never a single empty chunk) under every argument
-    combination, and ``max_chunks > n_tasks`` yields ``n_tasks``
-    single-task chunks rather than empty chunks or a zero chunk size.
+    each).  ``n_tasks=0`` yields no chunks (never a single empty chunk);
+    ``n_tasks < workers`` yields fewer chunks than workers rather than
+    empty chunks.
     """
     if n_tasks < 0:
         raise ConfigurationError(f"n_tasks must be >= 0, got {n_tasks}")
@@ -67,19 +58,10 @@ def plan_chunks(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if max_chunks is not None and max_chunks < 1:
-        raise ConfigurationError(f"max_chunks must be >= 1, got {max_chunks}")
-    if chunk_size is not None and max_chunks is not None:
-        raise ConfigurationError(
-            "chunk_size and max_chunks are mutually exclusive; a size cap "
-            "and a count cap can contradict each other"
-        )
     if n_tasks == 0:
         return ()
     if chunk_size is None:
         target = workers * DEFAULT_CHUNKS_PER_WORKER
-        if max_chunks is not None:
-            target = min(target, max_chunks)
         chunk_size = max(1, -(-n_tasks // target))
     chunks = []
     for index, start in enumerate(range(0, n_tasks, chunk_size)):
@@ -111,8 +93,3 @@ def assemble(
             )
         out.extend(chunk_results)
     return out
-
-
-def _chunk_tasks(chunk: Chunk, tasks: Sequence[Any]) -> list[Any]:
-    """The task specs a chunk covers (shared by the executors)."""
-    return list(tasks[chunk.start : chunk.stop])

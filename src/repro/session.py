@@ -43,12 +43,7 @@ from .core.updates import SnapshotUpdate
 from .obs.metrics import get_metrics
 from .obs.trace import Span, get_tracer, trace_span
 from .olap import TemporalGraphCube
-from .parallel import (
-    Executor,
-    executor_scope,
-    parallelism_scope,
-    resolve_parallelism,
-)
+from .parallel import parallelism_scope, resolve_parallelism
 from .serving import QueryServer, Served
 from .streaming import GraphVersion, StreamEvent, StreamingStore
 from .errors import UnknownLabelError, ValidationError
@@ -75,14 +70,6 @@ class GraphTempoSession:
         and exploration the session runs resolves inside a
         :func:`repro.parallel.parallelism_scope` carrying this value.
         Results are identical at any setting (see ``docs/parallelism.md``).
-    executor:
-        Pin every session fan-out to one executor instance — typically a
-        persistent :class:`~repro.parallel.ShardedExecutor` (or
-        :func:`repro.parallel.shared_fabric`), so aggregations,
-        explorations and served queries all reuse one warm pool.  Takes
-        precedence over ``parallelism`` resolution; the session does not
-        own the executor (close it separately).  Results are identical
-        either way.
     storage:
         Optional storage backend name (see :mod:`repro.storage` and
         ``docs/storage.md``); the session graph — and every version the
@@ -106,7 +93,6 @@ class GraphTempoSession:
         hierarchy: TimeHierarchy | None = None,
         parallelism: int | str | None = None,
         storage: str | None = None,
-        executor: Executor | None = None,
     ) -> None:
         #: Storage backend name pinned for this session (``None``
         #: inherits the graph's own selection / the env default).  Every
@@ -122,15 +108,11 @@ class GraphTempoSession:
         self.parallelism: int | None = (
             None if parallelism is None else resolve_parallelism(parallelism)
         )
-        #: Pinned executor instance (``None`` = resolve per fan-out).
-        self.executor: Executor | None = executor
         self._stream: StreamingStore | None = None
         self._server: QueryServer | None = None
 
     def _parallel_scope(self) -> Any:
         """The scope every session operation resolves parallelism in."""
-        if self.executor is not None:
-            return executor_scope(self.executor)
         return parallelism_scope(self.parallelism)
 
     # ------------------------------------------------------------------
@@ -391,7 +373,6 @@ class GraphTempoSession:
         return GraphTempoSession(
             coarsen(self.graph, self.hierarchy, semantics),
             parallelism=self.parallelism,
-            executor=self.executor,
         )
 
     # ------------------------------------------------------------------
@@ -411,10 +392,7 @@ class GraphTempoSession:
         """
         if self._server is None:
             self._server = QueryServer(
-                self.graph,
-                cube=self.cube,
-                hierarchy=self.hierarchy,
-                executor=self.executor,
+                self.graph, cube=self.cube, hierarchy=self.hierarchy
             )
         return self._server
 

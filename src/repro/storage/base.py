@@ -205,56 +205,6 @@ class GraphStorageBackend(ABC):
         given order, keeping every entity row (the storage-level time
         projection of Section 4.1)."""
 
-    def slice_entities(
-        self, entity: str, start: int, stop: int
-    ) -> "GraphStorageBackend":
-        """A new backend restricted to one contiguous entity-row range.
-
-        ``entity="nodes"`` keeps ``node_labels[start:stop]`` (presence,
-        static and time-varying attributes), leaving the timeline and
-        the edge axis whole — an edge whose endpoint fell outside the
-        shard reports ``-1`` from :meth:`endpoint_rows`, per that
-        contract.  ``entity="edges"`` slices the edge axis instead.
-        Empty ranges produce a valid empty-axis backend, so a shard plan
-        with more shards than rows stays total.  The slice is rebuilt
-        through ``from_frames`` so it is a first-class backend of the
-        same physical layout.
-        """
-        labels = self.entity_labels(entity)
-        if not (0 <= start <= stop <= len(labels)):
-            raise StorageError(
-                f"invalid {entity} range [{start}:{stop}] for axis of "
-                f"{len(labels)} rows"
-            )
-        keep = list(labels[start:stop])
-        frames = self.to_frames()
-        if entity == "nodes":
-            sliced = StorageFrames(
-                times=frames.times,
-                node_presence=frames.node_presence.select_rows(keep),
-                edge_presence=frames.edge_presence,
-                static_attrs=frames.static_attrs.select_rows(keep),
-                varying_attrs={
-                    name: frame.select_rows(keep)
-                    for name, frame in frames.varying_attrs.items()
-                },
-                edge_attrs=frames.edge_attrs,
-            )
-        else:
-            sliced = StorageFrames(
-                times=frames.times,
-                node_presence=frames.node_presence,
-                edge_presence=frames.edge_presence.select_rows(keep),
-                static_attrs=frames.static_attrs,
-                varying_attrs=dict(frames.varying_attrs),
-                edge_attrs=(
-                    None
-                    if frames.edge_attrs is None
-                    else frames.edge_attrs.select_rows(keep)
-                ),
-            )
-        return type(self).from_frames(sliced)
-
     @abstractmethod
     def attribute_column(
         self, name: str, time: Hashable | None = None

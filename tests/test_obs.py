@@ -1,6 +1,10 @@
 """Unit and integration tests for the observability layer (repro.obs)."""
 
+import ast
 import json
+import re
+from fnmatch import fnmatchcase
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +323,111 @@ class TestProfileRunner:
 
         with pytest.raises(ConfigurationError):
             run_profile("nope", "aggregate")
+
+
+# ----------------------------------------------------------------------
+# The catalogue in docs/observability.md against the code
+# ----------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Calls whose first argument names a counter (``inc``) or a span
+#: (``trace_span``, ``Tracer.span``).
+_EMITTERS = frozenset({"inc", "trace_span", "span"})
+
+
+def _emitted_names():
+    """Every literal counter/span name passed to an emitter in src/repro.
+
+    An f-string keeps its literal parts and turns each interpolated value
+    into ``*``: ``f"serving.route.{route}"`` becomes ``serving.route.*``
+    and is matched as a glob.
+    """
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            callee = (
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)
+            )
+            if callee not in _EMITTERS:
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.add(first.value)
+            elif isinstance(first, ast.JoinedStr):
+                names.add(
+                    "".join(
+                        part.value if isinstance(part, ast.Constant) else "*"
+                        for part in first.values
+                    )
+                )
+    return names
+
+
+def _documented_names():
+    """The first-column names of the span and counter tables.
+
+    ``a.b`` / ``c`` reads as ``a.b`` and ``a.c``; a later entry that has
+    its own dot is a full name.  ``<placeholder>`` becomes ``*``.
+    """
+    names = set()
+    in_catalogue = False
+    text = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_catalogue = False
+            continue
+        first = line.split("|")[1].strip()
+        if first in ("span", "name"):
+            in_catalogue = True
+            continue
+        if not in_catalogue:
+            continue
+        prefix = None
+        for token in re.findall(r"`([^`]+)`", first):
+            if prefix is None or "." in token:
+                name = token
+                prefix = token.rpartition(".")[0]
+            else:
+                name = f"{prefix}.{token}"
+            names.add(re.sub(r"<[^>]+>", "*", name))
+    return names
+
+
+def _covered(name, patterns):
+    return any(
+        fnmatchcase(name, pattern) or fnmatchcase(pattern, name)
+        for pattern in patterns
+    )
+
+
+class TestCatalogue:
+    def test_scan_finds_the_known_emitters(self):
+        emitted = _emitted_names()
+        assert {"parallel.maps", "serving.query", "aggregate"} <= emitted
+        assert {"serving.route.*", "profile.*", "*.hits"} <= emitted
+        documented = _documented_names()
+        assert {"serving.route.cache", "parallel.chunk", "profile.*"} <= documented
+
+    def test_every_emitted_name_is_documented(self):
+        documented = _documented_names()
+        missing = sorted(
+            name for name in _emitted_names() if not _covered(name, documented)
+        )
+        assert not missing, (
+            f"emitted but missing from docs/observability.md: {missing}"
+        )
+
+    def test_every_documented_name_is_emitted(self):
+        emitted = _emitted_names()
+        stale = sorted(
+            name for name in _documented_names() if not _covered(name, emitted)
+        )
+        assert not stale, (
+            f"documented in docs/observability.md but never emitted: {stale}"
+        )

@@ -11,7 +11,11 @@ This suite enforces it at every fan-out site:
   not change when chains are distributed);
 * every registered fuzz law, replayed under the inline executor and
   under a 2-worker scope with the implicit-parallelism work floor
-  removed, so even tiny operations actually cross the pool.
+  removed, so even tiny operations actually cross the pool;
+* concurrent readers × an appender through one
+  :class:`~repro.serving.QueryServer`, each request fanning out over its
+  own per-call pool — every response replays bit-identically against
+  the version that served it.
 
 Pool startup is real (~10ms per fan-out), so cases here stay small;
 the scaling story lives in ``benchmarks/bench_parallel_speedup.py``.
@@ -20,11 +24,14 @@ the scaling story lives in ``benchmarks/bench_parallel_speedup.py``.
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, aggregate_evolution
+from repro.core.operators import presence_signature
+from repro.core.updates import SnapshotUpdate
 from repro.testing.reference import aggregate_general
 from repro.datasets import paper_example
 from repro.exploration import (
@@ -35,8 +42,12 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
+from repro.obs import get_metrics
 from repro.parallel import parallelism_scope
+from repro.query import run_query
+from repro.serving import QueryServer
 from repro.session import GraphTempoSession
+from repro.streaming import StreamingStore
 from repro.testing import law_registry, run_fuzz
 
 WORKER_COUNTS = (2, 4)
@@ -235,3 +246,116 @@ def test_fuzz_replay_identical_under_both_executors(test_seed, no_work_floor):
     assert [str(f) for f in serial.failures] == [
         str(f) for f in pooled.failures
     ]
+
+
+# ----------------------------------------------------------------------
+# Concurrent readers × appender, every request on its own pool
+# ----------------------------------------------------------------------
+
+QUERIES = (
+    "aggregate gender all over union [t0..t2]",
+    "aggregate gender distinct over project [t0..t1]",
+    "aggregate gender, publications all over union [t0..t1]",
+    "evolution [t0] -> [t1] by gender",
+    "union [t0], [t2]",
+    "difference [t2], [t0]",
+)
+
+
+def _updates(n):
+    updates = []
+    for i in range(n):
+        node = f"s{i}"
+        updates.append(
+            SnapshotUpdate(
+                time=f"t{3 + i}",
+                nodes={
+                    "u1": {"publications": 1 + i},
+                    "u2": {"publications": 2},
+                    node: {"publications": i},
+                },
+                static={node: {"gender": "f" if i % 2 else "m"}},
+                edges=[("u1", "u2"), ("u2", node)],
+            )
+        )
+    return updates
+
+
+def _assert_matches(text, served, graph):
+    naive = run_query(graph, text)
+    if hasattr(served, "diff"):
+        problems = served.diff(naive)
+        assert not problems, f"{text!r} diverged: {problems[0]}"
+    else:
+        assert presence_signature(served) == presence_signature(naive), (
+            f"{text!r} presence diverged"
+        )
+
+
+def test_concurrent_readers_and_appender_on_per_call_pools(monkeypatch):
+    """Reader threads serve while an appender publishes versions, and
+    every fan-out inside a request forks its own 2-worker pool.  The
+    pool default comes from the environment, not a
+    ``parallelism_scope``: scopes are thread-local and the readers run
+    on their own threads.  Every served result must replay
+    bit-identically against the version that served it."""
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
+    monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
+    store = StreamingStore(paper_example())
+    # cache_capacity=0: every request truly executes on a pool.
+    server = QueryServer(store, cache_capacity=0)
+    maps_before = get_metrics().counter("parallel.maps")
+    n_readers = 4
+    rounds_total = 5
+    updates = _updates(rounds_total - 1)
+    records = [[] for _ in range(n_readers)]
+    failures = []
+    # Bounded waits: a thread that dies breaks the barrier for the rest
+    # instead of hanging the suite.
+    rounds = threading.Barrier(n_readers + 1, timeout=120)
+
+    def reader(index):
+        try:
+            for _ in range(rounds_total):
+                rounds.wait()
+                for text in QUERIES:
+                    served = server.serve(text)
+                    records[index].append((text, served))
+        except BaseException as exc:  # surfaces after join
+            failures.append(exc)
+
+    def appender():
+        try:
+            for round_index in range(rounds_total):
+                rounds.wait()
+                if round_index < len(updates):
+                    store.append_snapshot(updates[round_index])
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=reader, args=(i,)) for i in range(n_readers)
+    ]
+    threads.append(threading.Thread(target=appender))
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        server.close()
+    assert not any(thread.is_alive() for thread in threads), "a thread hung"
+    assert not failures, failures[0]
+    assert server.version == len(updates)
+    # The requests really crossed process pools.
+    assert get_metrics().counter("parallel.maps") > maps_before
+
+    served_versions = set()
+    for bucket in records:
+        assert bucket  # every reader made progress
+        for text, served in bucket:
+            served_versions.add(served.version)
+            graph = store.at_version(served.version).graph
+            _assert_matches(text, served.result, graph)
+    # Appends interleaved with serving: more than one version answered.
+    assert len(served_versions) >= 2, served_versions

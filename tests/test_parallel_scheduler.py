@@ -117,48 +117,24 @@ def test_plan_validates_arguments():
         plan_chunks(5, 0)
     with pytest.raises(ConfigurationError):
         plan_chunks(5, 2, chunk_size=0)
-    with pytest.raises(ConfigurationError):
-        plan_chunks(5, 2, max_chunks=0)
-    with pytest.raises(ConfigurationError, match="mutually exclusive"):
-        plan_chunks(5, 2, chunk_size=2, max_chunks=3)
 
 
-# Regressions found while writing the fabric tests: degenerate inputs
-# (no tasks; a chunk-count cap exceeding the task count) must yield
-# well-formed plans — no empty chunks, no zero chunk sizes, full cover.
+# Regressions for degenerate inputs (no tasks; a chunk target exceeding
+# the task count): plans stay well-formed — no empty chunks, no zero
+# chunk sizes, full cover.
 
 
 def test_plan_empty_input_is_well_formed_under_every_cap():
-    assert plan_chunks(0, 4, max_chunks=1) == ()
-    assert plan_chunks(0, 16, max_chunks=100) == ()
+    assert plan_chunks(0, 4, chunk_size=1) == ()
+    assert plan_chunks(0, 16, chunk_size=100) == ()
 
 
 def test_plan_more_chunks_requested_than_tasks():
-    chunks = plan_chunks(3, 2, max_chunks=10)
+    # Two workers target 2 * DEFAULT_CHUNKS_PER_WORKER chunks; three
+    # tasks can fill only three of them.
+    chunks = plan_chunks(3, 2)
     assert [len(chunk) for chunk in chunks] == [1, 1, 1]
     assert [(c.start, c.stop) for c in chunks] == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_plan_max_chunks_caps_chunk_count():
-    chunks = plan_chunks(100, 8, max_chunks=3)
-    assert len(chunks) <= 3
-    covered = [i for chunk in chunks for i in range(chunk.start, chunk.stop)]
-    assert covered == list(range(100))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    n_tasks=st.integers(min_value=0, max_value=500),
-    workers=st.integers(min_value=1, max_value=16),
-    max_chunks=st.integers(min_value=1, max_value=600),
-)
-def test_plan_max_chunks_always_well_formed(n_tasks, workers, max_chunks):
-    chunks = plan_chunks(n_tasks, workers, max_chunks=max_chunks)
-    covered = [i for chunk in chunks for i in range(chunk.start, chunk.stop)]
-    assert covered == list(range(n_tasks))
-    assert len(chunks) <= max(max_chunks, 1)
-    for chunk in chunks:
-        assert len(chunk) >= 1
 
 
 # ----------------------------------------------------------------------
@@ -297,17 +273,13 @@ def test_get_executor_defaults_to_inline(monkeypatch):
     assert isinstance(get_executor(1), InlineExecutor)
 
 
-def test_get_executor_explicit_request_ignores_task_hint(monkeypatch):
-    # This test is about the per-call pool specifically; the fabric
-    # parity job pins REPRO_PARALLEL_BACKEND=sharded suite-wide.
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+def test_get_executor_explicit_request_ignores_task_hint():
     executor = get_executor(3, task_hint=1)
     assert isinstance(executor, ParallelExecutor)
     assert executor.workers == 3
 
 
-def test_get_executor_implicit_default_is_gated_by_task_hint(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+def test_get_executor_implicit_default_is_gated_by_task_hint():
     with parallelism_scope(4):
         assert isinstance(get_executor(task_hint=1), InlineExecutor)
         big = get_executor(task_hint=10_000_000)
@@ -327,7 +299,6 @@ def test_parallelism_scope_nests_and_restores(monkeypatch):
 
 
 def test_env_variable_sets_default(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
     executor = get_executor(task_hint=10_000_000)
     assert isinstance(executor, ParallelExecutor)
@@ -344,64 +315,8 @@ def test_bad_parallelism_values_rejected():
 
 
 # ----------------------------------------------------------------------
-# Backend selection and executor pinning (the fabric seam)
+# Concurrent fan-outs from several threads
 # ----------------------------------------------------------------------
-
-
-def test_env_backend_selects_the_shared_fabric(monkeypatch):
-    from repro.parallel import ShardedExecutor, close_shared_fabrics
-
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "sharded")
-    try:
-        executor = get_executor(3, task_hint=1)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.workers == 3
-        # Same shape -> same shared instance (that's the amortization).
-        assert get_executor(3) is executor
-        assert get_executor(2) is not executor
-    finally:
-        close_shared_fabrics()
-
-
-def test_env_backend_inline_forces_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "inline")
-    assert isinstance(get_executor(4), InlineExecutor)
-
-
-def test_env_backend_rejects_unknown_names(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "quantum")
-    with pytest.raises(ConfigurationError, match="REPRO_PARALLEL_BACKEND"):
-        get_executor(2)
-
-
-def test_executor_scope_pins_an_instance(monkeypatch):
-    from repro.parallel import executor_scope
-
-    monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
-    pinned = InlineExecutor()
-    with executor_scope(pinned):
-        # Pinning wins over explicit worker counts and task hints.
-        assert get_executor(8) is pinned
-        assert get_executor(task_hint=10_000_000) is pinned
-        inner = ParallelExecutor(2)
-        with executor_scope(inner):
-            assert get_executor() is inner
-        assert get_executor() is pinned
-    assert isinstance(get_executor(), InlineExecutor)
-
-
-def test_shared_fabric_replaces_closed_instances():
-    from repro.parallel import close_shared_fabrics, shared_fabric
-
-    try:
-        first = shared_fabric(2)
-        assert shared_fabric(2) is first
-        first.close()
-        replacement = shared_fabric(2)
-        assert replacement is not first
-        assert not replacement.closed
-    finally:
-        close_shared_fabrics()
 
 
 def test_concurrent_maps_from_threads_do_not_cross_payloads():
