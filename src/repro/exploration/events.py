@@ -17,20 +17,24 @@ aggregate entity.  :class:`EventCounter` precomputes, with array
 operations, the counted entity's presence matrix and the attributes'
 integer tuple codes (per entity for static attributes, per ``(entity,
 time)`` cell for time-varying ones), so a single count is a handful of
-vectorized mask operations; exploration runs thousands of counts.
+vectorized mask operations; exploration runs thousands of counts.  The
+index also holds the presence as packed, time-major bit rows, so one
+time point of every entity is a few contiguous uint64 words.
 
 :class:`ChainEvaluator` goes one step further for the exploration
 workload itself: along one semi-lattice extension chain, consecutive
 pairs differ by exactly one base time point, so the extended side's
 qualification mask can be maintained with a single OR/AND per step
-instead of re-reducing the whole growing window.
+instead of re-reducing the whole growing window.  The Table-1
+strategies advance every live chain of a reference range by one depth
+at a time over the packed rows, and count with ``np.bitwise_count``.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -108,6 +112,47 @@ def _pair_codes(
     return pairs
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """An ``(entities, times)`` boolean matrix as time-major packed rows.
+
+    Row ``t`` of the ``(times, ceil(entities / 64))`` uint64 result holds
+    entity ``e`` at bit ``e % 64`` of word ``e // 64``.  Padding bits
+    past the last entity are zero, so ``new & ~old`` stays exact; a bare
+    ``~old`` does not, and is never counted.
+    """
+    n_rows, n_times = bits.shape
+    n_words = -(-n_rows // 64)
+    padded = np.zeros((n_words * 64, n_times), dtype=np.uint8)
+    padded[:n_rows] = bits
+    # Pack eight entities into a byte in the entity-major layout, then
+    # transpose the eight-times smaller bytes: transposing the bool
+    # matrix itself costs several times more.
+    grouped = padded.reshape(n_words * 8, 8, n_times)
+    packed = grouped[:, 0, :].copy()
+    for bit in range(1, 8):
+        packed |= grouped[:, bit, :] << bit
+    return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def _unpack_row(words: np.ndarray, n_rows: int) -> np.ndarray:
+    """One packed row back as a boolean entity mask."""
+    return np.unpackbits(
+        words.view(np.uint8), count=n_rows, bitorder="little"
+    ).astype(bool)
+
+
+def _window_hits(
+    event: EventType, old_hits: np.ndarray, new_hits: np.ndarray
+) -> np.ndarray:
+    """Key hits over the event's window (see
+    :meth:`EventCounter._event_window_indices`) from each side's hits."""
+    if event is EventType.GROWTH:
+        return new_hits
+    if event is EventType.SHRINKAGE:
+        return old_hits
+    return old_hits | new_hits
+
+
 def _tuple_code(tuples: Sequence[tuple[Any, ...]], key: Any) -> int:
     """The code of ``key`` among ``tuples``, or the unseen sentinel."""
     return {t: code for code, t in enumerate(tuples)}.get(tuple(key), _UNSEEN_CODE)
@@ -178,9 +223,14 @@ class EventCounter:
     one per entity for static attributes and one per ``(entity, time)``
     cell (``-1`` where absent) for time-varying ones; edges combine their
     endpoints' codes through the storage backend's ``endpoint_rows``.
-    A static key resolves to a boolean match mask, a time-varying one to
-    the code each count compares against.  :meth:`with_key` binds another
-    key to the same index.
+    The index also packs the presence into time-major bit rows
+    (``times x ceil(entities / 64)`` uint64 words) with their running
+    ANDs from the first point and to the last, which the batched walks
+    of :class:`ChainEvaluator` read.  A static key resolves to a boolean
+    match mask and its packed row; a time-varying one to the code each
+    count compares against and one packed row of key hits per time
+    point (present, and the cell's code equals the key's).
+    :meth:`with_key` binds another key to the same index.
 
     An edge counter that reads endpoint attributes (time-varying ones,
     or static ones with a key) raises :class:`ExplorationError` if and
@@ -200,6 +250,11 @@ class EventCounter:
         self.attributes = tuple(attributes)
         self._all_static = all(graph.is_static(a) for a in self.attributes)
         self._presence_matrix = graph.storage.presence_matrix(entity.value)
+        #: The presence as packed time-major rows, and the AND of rows
+        #: ``0..t`` (prefix) and ``t..T-1`` (suffix) at row ``t``.
+        self._rows = _pack_rows(self._presence_matrix)
+        self._prefix = np.bitwise_and.accumulate(self._rows, axis=0)
+        self._suffix = np.bitwise_and.accumulate(self._rows[::-1], axis=0)[::-1]
         #: Tuple code per entity, or per (entity, time) cell with -1 where
         #: absent; pair codes for edges.  ``None`` without attributes.
         self._codes: np.ndarray | None = None
@@ -235,11 +290,15 @@ class EventCounter:
         if key is not None and not self.attributes:
             raise ExplorationError("a key filter requires aggregation attributes")
         self.key = key
-        #: Per-entity boolean match of a static key.
+        #: Per-entity boolean match of a static key, and its packed row.
         self._match_mask: np.ndarray | None = None
+        self._match_row: np.ndarray | None = None
         #: Resolved code of ``key`` (pair code for edges) on the
-        #: time-varying path.
+        #: time-varying path, and its packed hit row per time point --
+        #: zero words wide otherwise, so the batched walks carry hits
+        #: whatever the key.
         self._key_code: int | None = None
+        self._hit_rows: np.ndarray = np.zeros((self._rows.shape[0], 0), np.uint64)
         if self.entity is EntityKind.EDGES and self.attributes and (
             key is not None or not self._all_static
         ):
@@ -255,11 +314,13 @@ class EventCounter:
                 if source >= 0 and target >= 0
                 else _UNSEEN_CODE
             )
+        assert self._codes is not None
         if self._all_static:
-            assert self._codes is not None
             self._match_mask = self._codes == code
+            self._match_row = _pack_rows(self._match_mask[:, None])[0]
         else:
             self._key_code = code
+            self._hit_rows = _pack_rows(self._presence_matrix & (self._codes == code))
 
     def with_key(self, key: Any) -> "EventCounter":
         """A counter for ``key`` sharing this counter's presence matrix
@@ -318,6 +379,46 @@ class EventCounter:
         if self._all_static:
             return int(mask.sum())
         return self._count_appearances(event, old, new, mask)
+
+    @property
+    def _counts_appearances(self) -> bool:
+        """Whether a count is the number of distinct ``(entity, tuple)``
+        appearances (time-varying attributes, no key): an ``np.unique``
+        per pair, which no popcount can give."""
+        return not self._all_static and self.key is None
+
+    def _packed_counts(
+        self,
+        event: EventType,
+        old: np.ndarray,
+        new: np.ndarray,
+        hits: tuple[np.ndarray, np.ndarray],
+        sides: Sequence[tuple[Side, Side]] = (),
+    ) -> np.ndarray:
+        """``result(G)`` for a batch of pairs, one per row of the packed
+        side masks ``old`` and ``new`` (``pairs x words``).
+
+        ``hits`` are each side's packed key hits, ORed over the side's
+        points (read for a time-varying key only).  ``sides`` names
+        every pair for the appearance counts
+        (:attr:`_counts_appearances`), which run per pair on the
+        unpacked mask.  Returns ``int64`` counts.
+        """
+        words = event_mask_from(event, old, new)
+        if self._counts_appearances:
+            n_rows = self._presence_matrix.shape[0]
+            return np.array(
+                [
+                    self._count_appearances(event, o, n, _unpack_row(row, n_rows))
+                    for row, (o, n) in zip(words, sides, strict=True)
+                ],
+                dtype=np.int64,
+            )
+        if self._match_row is not None:
+            words &= self._match_row
+        elif self._key_code is not None:
+            words &= _window_hits(event, *hits)
+        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
     def _event_window_indices(
         self, event: EventType, old: Side, new: Side
@@ -391,6 +492,13 @@ class ChainEvaluator:
       semi-lattice extension is a single OR (union semantics) or AND
       (intersection semantics) with one presence column, O(entities)
       instead of O(entities x span).
+
+    :meth:`chain` walks one reference's chain lazily, a pair at a time.
+    The Table-1 strategies use the batched walks instead
+    (:meth:`walk_chains`, :meth:`walk_consecutive`,
+    :meth:`walk_longest`): over the counter's packed time-major rows,
+    every live chain of a reference range advances one depth per
+    iteration, and every pair at that depth is counted together.
 
     ``incremental=False`` recomputes both side masks from scratch at
     every step — the naive per-pair path the seed implementation used.
@@ -510,64 +618,226 @@ class ChainEvaluator:
     def consecutive(
         self, start: int = 0, stop: int | None = None
     ) -> Iterator[ChainStep]:
-        """Consecutive point pairs ``(T_i, T_{i+1})`` — threshold
-        initialization (Section 3.5) and the degenerate minimal cases.
-        Each presence column is sliced once and shared by its two pairs.
-        ``start``/``stop`` bound the reference indices ``i`` (defaults:
-        every pair), letting the parallel explorer hand each chunk a
-        slice of the references."""
-        presence = self._presence()
-        last = presence.shape[1] - 1 if stop is None else stop
+        """Consecutive point pairs ``(T_i, T_{i+1})``, one pair at a time
+        -- the per-pair oracle of :meth:`walk_consecutive`.  ``start`` /
+        ``stop`` bound the reference indices ``i`` (defaults: every
+        pair)."""
+        last = self._presence().shape[1] - 1 if stop is None else stop
         for i in range(start, last):
-            yield self._step(
-                Side.point(i),
-                Side.point(i + 1),
-                presence[:, i],
-                presence[:, i + 1],
-            )
+            yield self._step(*self._consecutive_sides(i), None, None)
 
     def longest(
         self, extend: ExtendSide, start: int = 0, stop: int | None = None
     ) -> Iterator[ChainStep]:
         """Per reference point, the longest intersection-semantics
-        extension — the degenerate maximal cases of Table 1.  The
-        prefix/suffix ANDs are accumulated incrementally, one column per
-        reference, instead of re-reducing each full-length window.
+        extension -- the degenerate maximal cases of Table 1 -- one pair
+        at a time: the per-pair oracle of :meth:`walk_longest`.
+        ``start``/``stop`` bound the reference indices."""
+        last = self._presence().shape[1] - 1 if stop is None else stop
+        for i in range(start, last):
+            yield self._step(*self._longest_sides(extend, i), None, None)
 
-        ``start``/``stop`` bound the reference indices.  A ranged call
-        seeds the prefix (and trims the suffix precomputation) with the
-        same left-to-right / right-to-left column order as the full
-        walk, so every step's mask is bit-identical to the serial one.
-        """
-        presence = self._presence()
-        n_times = presence.shape[1]
-        last = n_times - 1 if stop is None else stop
+    # ------------------------------------------------------------------
+    # Batched walks (the Table-1 strategies over a reference range)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _chain_sides(
+        reference: int, depth: int, extend: ExtendSide, semantics: Semantics
+    ) -> tuple[Side, Side]:
+        """The pair at ``depth`` (from 1) of a reference's chain, equal
+        to the one :meth:`chain` builds: a one-point extended side keeps
+        the chain's semantics."""
+        if extend is ExtendSide.NEW:
+            extended = Side(Interval(reference + 1, reference + depth), semantics)
+            return Side.point(reference), extended
+        extended = Side(Interval(reference + 1 - depth, reference), semantics)
+        return extended, Side.point(reference + 1)
+
+    @staticmethod
+    def _consecutive_sides(i: int) -> tuple[Side, Side]:
+        return Side.point(i), Side.point(i + 1)
+
+    def _longest_sides(self, extend: ExtendSide, i: int) -> tuple[Side, Side]:
         if extend is ExtendSide.OLD:
-            accumulated = presence[:, 0] if n_times else None
-            if accumulated is not None:
-                for column in range(1, start + 1):
-                    accumulated = accumulated & presence[:, column]
-            for i in range(start, last):
-                if i > start and accumulated is not None:
-                    accumulated = accumulated & presence[:, i]
-                yield self._step(
-                    Side(Interval(0, i), Semantics.INTERSECTION),
-                    Side.point(i + 1),
-                    accumulated,
-                    presence[:, i + 1],
-                )
+            return Side(Interval(0, i), Semantics.INTERSECTION), Side.point(i + 1)
+        last = self._presence().shape[1] - 1
+        return Side.point(i), Side(Interval(i + 1, last), Semantics.INTERSECTION)
+
+    def walk_chains(
+        self,
+        start: int,
+        stop: int,
+        extend: ExtendSide,
+        semantics: Semantics,
+        k: int,
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
+        """U-Explore (union semantics) or I-Explore (intersection) over
+        the chains of references ``start .. stop-1``, one depth at a time.
+
+        Each iteration extends every live chain by one base point -- one
+        gather of packed rows and one OR/AND across all of them -- and
+        counts every pair at that depth together.  U-Explore retires a
+        chain at its first pair reaching ``k`` (the reported one);
+        I-Explore retires it at its first failure and reports the last
+        passing pair.  Either retires a chain that runs out.  So exactly
+        the pairs :meth:`chain`'s per-step walk would evaluate are
+        evaluated.  Returns the reported ``(old, new, count)`` triples in
+        reference order and the number of pairs evaluated.
+        """
+        counter = self.counter
+        # A time-varying key's hits ride along, ORed whatever the
+        # semantics.
+        rows, hit_rows = counter._rows, counter._hit_rows
+        n_times = rows.shape[0]
+        references = np.arange(start, stop)
+        # Per chain: the reference point, the extended side's nearest
+        # point, the step to its next one, and the chain's length.
+        if extend is ExtendSide.NEW:
+            anchors, nearest, direction = references, references + 1, 1
+            capacity = n_times - 1 - references
         else:
-            suffix: list[np.ndarray | None] = [None] * n_times
-            if self.incremental and n_times > 1:
-                running = presence[:, n_times - 1]
-                suffix[n_times - 1] = running
-                for column in range(n_times - 2, start, -1):
-                    running = presence[:, column] & running
-                    suffix[column] = running
-            for i in range(start, last):
-                yield self._step(
-                    Side.point(i),
-                    Side(Interval(i + 1, n_times - 1), Semantics.INTERSECTION),
-                    presence[:, i],
-                    suffix[i + 1],
-                )
+            anchors, nearest, direction = references + 1, references, -1
+            capacity = references + 1
+        union = semantics is Semantics.UNION
+        extend_rows: np.ufunc = np.bitwise_or if union else np.bitwise_and
+        live = np.arange(references.size)
+        anchor, extended = rows[anchors], rows[nearest]
+        anchor_hits, extended_hits = hit_rows[anchors], hit_rows[nearest]
+        found_depth = np.zeros(references.size, dtype=np.intp)
+        found_count = np.zeros(references.size, dtype=np.int64)
+        evaluations = pruned = 0
+        depth = 1
+        while live.size:
+            if depth > 1:
+                points = nearest[live] + direction * (depth - 1)
+                extend_rows(extended, rows[points], out=extended)
+                np.bitwise_or(extended_hits, hit_rows[points], out=extended_hits)
+            sides: list[tuple[Side, Side]] = []
+            if counter._counts_appearances:
+                sides = [
+                    self._chain_sides(reference, depth, extend, semantics)
+                    for reference in references[live].tolist()
+                ]
+            if extend is ExtendSide.NEW:
+                pair, hits = (anchor, extended), (anchor_hits, extended_hits)
+            else:
+                pair, hits = (extended, anchor), (extended_hits, anchor_hits)
+            counts = counter._packed_counts(self.event, *pair, hits, sides)
+            evaluations += live.size
+            passed = counts >= k
+            found_depth[live[passed]] = depth
+            found_count[live[passed]] = counts[passed]
+            retired = (passed if union else ~passed) | (capacity[live] == depth)
+            if retired.any():
+                pruned += int((capacity[live[retired]] - depth).sum())
+                keep = ~retired
+                live, anchor, extended = live[keep], anchor[keep], extended[keep]
+                anchor_hits, extended_hits = anchor_hits[keep], extended_hits[keep]
+            depth += 1
+        metrics = get_metrics()
+        if references.size:
+            metrics.inc("exploration.chains", int(references.size))
+            metrics.inc("exploration.chain_steps", evaluations)
+        if pruned:
+            metrics.inc("exploration.pruned_steps", pruned)
+        found = np.flatnonzero(found_depth)
+        pairs = [
+            (*self._chain_sides(reference, depth, extend, semantics), count)
+            for reference, depth, count in zip(
+                references[found].tolist(),
+                found_depth[found].tolist(),
+                found_count[found].tolist(),
+            )
+        ]
+        return pairs, evaluations
+
+    def consecutive_counts(
+        self, start: int = 0, stop: int | None = None
+    ) -> list[int]:
+        """Counts of the consecutive point pairs ``(T_i, T_{i+1})`` for
+        references ``i`` in ``start .. stop-1`` (default: every pair),
+        all evaluated together -- threshold initialization (Section 3.5)
+        and the degenerate minimal cases of Table 1."""
+        rows, hit_rows = self.counter._rows, self.counter._hit_rows
+        last = rows.shape[0] - 1 if stop is None else stop
+        if last <= start:
+            return []
+        head, tail = slice(start, last), slice(start + 1, last + 1)
+        return self._batch_counts(
+            rows[head],
+            rows[tail],
+            (hit_rows[head], hit_rows[tail]),
+            self._consecutive_sides,
+            start,
+            last,
+        )
+
+    def walk_consecutive(
+        self, start: int, stop: int, k: int
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
+        """The consecutive pairs of references ``start .. stop-1`` that
+        reach ``k``, and the number of pairs evaluated."""
+        counts = self.consecutive_counts(start, stop)
+        return self._passing(counts, start, k, self._consecutive_sides)
+
+    def walk_longest(
+        self, extend: ExtendSide, start: int, stop: int, k: int
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
+        """The longest intersection-semantics extensions of references
+        ``start .. stop-1`` that reach ``k``, all evaluated together from
+        the counter's prefix (extending OLD) or suffix (extending NEW)
+        ANDs, and the number of pairs evaluated."""
+        counter = self.counter
+        rows, hit_rows = counter._rows, counter._hit_rows
+        if stop <= start:
+            return [], 0
+        head, tail = slice(start, stop), slice(start + 1, stop + 1)
+        if extend is ExtendSide.OLD:
+            old, new = counter._prefix[head], rows[tail]
+            prefix_hits = np.bitwise_or.accumulate(hit_rows, axis=0)
+            hits = (prefix_hits[head], hit_rows[tail])
+        else:
+            old, new = rows[head], counter._suffix[tail]
+            suffix_hits = np.bitwise_or.accumulate(hit_rows[::-1], axis=0)[::-1]
+            hits = (hit_rows[head], suffix_hits[tail])
+
+        def sides(i: int) -> tuple[Side, Side]:
+            return self._longest_sides(extend, i)
+
+        counts = self._batch_counts(old, new, hits, sides, start, stop)
+        return self._passing(counts, start, k, sides)
+
+    def _batch_counts(
+        self,
+        old: np.ndarray,
+        new: np.ndarray,
+        hits: tuple[np.ndarray, np.ndarray],
+        sides: Callable[[int], tuple[Side, Side]],
+        start: int,
+        stop: int,
+    ) -> list[int]:
+        """Counts of the pairs of references ``start .. stop-1``, given
+        as packed side rows; ``sides`` names a reference's pair."""
+        named = (
+            [sides(i) for i in range(start, stop)]
+            if self.counter._counts_appearances
+            else []
+        )
+        counts = self.counter._packed_counts(self.event, old, new, hits, named)
+        get_metrics().inc("exploration.chain_steps", stop - start)
+        return counts.tolist()
+
+    @staticmethod
+    def _passing(
+        counts: list[int],
+        start: int,
+        k: int,
+        sides: Callable[[int], tuple[Side, Side]],
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
+        pairs = [
+            (*sides(i), count)
+            for i, count in enumerate(counts, start)
+            if count >= k
+        ]
+        return pairs, len(counts)

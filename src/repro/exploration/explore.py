@@ -29,10 +29,10 @@ can only lower the count, only the shortest pairs can be minimal (steps
 extension can be maximal.
 
 All strategies run through :class:`~repro.exploration.events.ChainEvaluator`,
-which maintains the extended side's qualification mask incrementally
-along each chain; pass ``incremental=False`` to force the naive
-re-reduce-every-pair path (bit-identical results, used by the parity
-suite and the scaling benchmark).
+whose batched walks advance every chain of a reference range one depth
+at a time over packed presence rows; pass ``incremental=False`` to force
+the naive re-reduce-every-pair path (bit-identical results, used by the
+parity suite and the scaling benchmark).
 """
 
 from __future__ import annotations
@@ -162,13 +162,15 @@ def _record_pruning(
 # Ranged chunk workers
 #
 # Each Table-1 strategy iterates independent reference points, so its
-# loop body runs unchanged over any slice ``[start, stop)`` of the
-# reference range.  The serial path executes the same worker over the
-# full range ``(0, references)`` — parallel and serial results are the
-# same function applied to a partition vs. the whole, concatenated in
-# chunk order, hence bit-identical.  Workers return
-# ``(pairs, evaluations)``; pruning/chain metrics accumulate in the
-# worker registry and are merged back by the pool.
+# walk runs unchanged over any slice ``[start, stop)`` of the reference
+# range: the incremental path is one batched ChainEvaluator walk over
+# the slice, the naive one a per-step loop per reference.  The serial
+# path executes the same worker over the full range ``(0, references)``
+# — parallel and serial results are the same function applied to a
+# partition vs. the whole, concatenated in chunk order, hence
+# bit-identical.  Workers return ``(pairs, evaluations)``; pruning/chain
+# metrics accumulate in the worker registry and are merged back by the
+# pool.
 # ----------------------------------------------------------------------
 
 #: ``(counter, event, goal, extend, k, incremental)`` — shared with every
@@ -179,11 +181,21 @@ _ReferenceRange = tuple[int, int]
 _ChunkResult = tuple[list[IntervalPairResult], int]
 
 
+def _reported(walk: tuple[list[tuple[Side, Side, int]], int]) -> _ChunkResult:
+    """A batched walk's ``(old, new, count)`` triples as results."""
+    found, evaluations = walk
+    return [IntervalPairResult(*pair) for pair in found], evaluations
+
+
 def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     """U-Explore over one slice of reference points."""
     counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
+    if incremental:
+        return _reported(
+            evaluator.walk_chains(start, stop, extend, Semantics.UNION, k)
+        )
     n_times = len(counter.graph.timeline)
     pairs: list[IntervalPairResult] = []
     evaluations = 0
@@ -204,6 +216,10 @@ def _i_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
+    if incremental:
+        return _reported(
+            evaluator.walk_chains(start, stop, extend, Semantics.INTERSECTION, k)
+        )
     n_times = len(counter.graph.timeline)
     pairs: list[IntervalPairResult] = []
     evaluations = 0
@@ -230,6 +246,8 @@ def _consecutive_chunk(
     counter, event, _goal, _extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
+    if incremental:
+        return _reported(evaluator.walk_consecutive(start, stop, k))
     pairs: list[IntervalPairResult] = []
     evaluations = 0
     for step in evaluator.consecutive(start, stop):
@@ -246,6 +264,8 @@ def _longest_chunk(
     counter, event, _goal, extend, k, incremental = payload
     start, stop = task
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
+    if incremental:
+        return _reported(evaluator.walk_longest(extend, start, stop, k))
     pairs: list[IntervalPairResult] = []
     evaluations = 0
     for step in evaluator.longest(extend, start, stop):

@@ -28,10 +28,10 @@ def consecutive_event_counts(
     attributes: Sequence[str] = (),
     key: Any = None,
 ) -> list[int]:
-    """Event counts for every consecutive time-point pair ``(T_i, T_i+1)``."""
+    """Event counts for every consecutive time-point pair ``(T_i, T_i+1)``,
+    evaluated together as one batch."""
     counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-    evaluator = ChainEvaluator(counter, event)
-    return [step.count for step in evaluator.consecutive()]
+    return ChainEvaluator(counter, event).consecutive_counts()
 
 
 def suggest_threshold(

@@ -10,8 +10,9 @@ cache hits/derivations in :mod:`repro.materialize`, rows scanned in
 
 Metric names are dotted, lowercase, and stable — see
 ``docs/observability.md`` for the full catalogue.  Counter updates are a
-single dict operation so instrumented hot paths stay within the measured
-overhead budget (see ``benchmarks/bench_obs_overhead.py``).
+single dict operation under the registry's lock, so concurrent threads
+never lose an increment and instrumented hot paths stay within the
+measured overhead budget (see ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
@@ -115,21 +116,28 @@ class MetricsRegistry:
     :class:`TimingHistogram` samples (``observe``).  Reads of unknown
     names return zero rather than raising, so report code never has to
     guard against a path that happened not to run.
+
+    ``inc``, ``observe`` and ``merge`` are read-add-write updates, made
+    atomic by a per-registry lock.  A pool worker swaps in a fresh
+    registry for each chunk, so no lock held at a fork is ever taken in
+    the registry the worker writes.
     """
 
-    __slots__ = ("_counters", "_gauges", "_timings")
+    __slots__ = ("_counters", "_gauges", "_timings", "_lock")
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._timings: dict[str, TimingHistogram] = {}
+        self._lock = threading.Lock()
 
     # -- writes --------------------------------------------------------
 
     def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the counter ``name`` (creating it at 0)."""
-        counters = self._counters
-        counters[name] = counters.get(name, 0) + value
+        with self._lock:
+            counters = self._counters
+            counters[name] = counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value``."""
@@ -137,10 +145,11 @@ class MetricsRegistry:
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration sample under the timer ``name``."""
-        histogram = self._timings.get(name)
-        if histogram is None:
-            histogram = self._timings[name] = TimingHistogram()
-        histogram.observe(seconds)
+        with self._lock:
+            histogram = self._timings.get(name)
+            if histogram is None:
+                histogram = self._timings[name] = TimingHistogram()
+            histogram.observe(seconds)
 
     # -- reads ---------------------------------------------------------
 
@@ -191,15 +200,16 @@ class MetricsRegistry:
         chunk's metric delta, so a parallel run's totals equal the
         serial run's.
         """
-        for name, value in dump["counters"].items():
-            self.inc(name, value)
-        for name, value in dump["gauges"].items():
-            self.gauge(name, value)
-        for name, timing_dump in dump["timings"].items():
-            histogram = self._timings.get(name)
-            if histogram is None:
-                histogram = self._timings[name] = TimingHistogram()
-            histogram.merge(timing_dump)
+        with self._lock:
+            counters = self._counters
+            for name, value in dump["counters"].items():
+                counters[name] = counters.get(name, 0) + value
+            self._gauges.update(dump["gauges"])
+            for name, timing_dump in dump["timings"].items():
+                histogram = self._timings.get(name)
+                if histogram is None:
+                    histogram = self._timings[name] = TimingHistogram()
+                histogram.merge(timing_dump)
 
     def reset(self) -> None:
         """Drop every metric (tests and per-run profiling)."""

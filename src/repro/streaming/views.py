@@ -316,9 +316,10 @@ class ExplorationView(StreamingView):
                 entities=labels[previous_rows:],
             )
             self._match = np.concatenate([self._match, appended])
-        index = len(graph.timeline.labels) - 1
-        column = graph.storage.presence_matrix(self.entity.value)[:, index]
-        self._absorb(column, index)
+        # Only the appended column is read, on either backend.
+        labels = graph.timeline.labels
+        column = graph.presence_mask(self.entity.value, [labels[-1]], "any")
+        self._absorb(column, len(labels) - 1)
 
     def _absorb(self, column: np.ndarray, index: int) -> None:
         """One chain step: extend the new-side mask by ``column``."""

@@ -186,7 +186,9 @@ def _incremental_replay_agrees(
 
 @register_law(
     "exploration-variants-agree",
-    "incremental, naive and exhaustive exploration report the same pairs",
+    "incremental, naive and exhaustive exploration report the same pairs; "
+    "with time-varying attributes and keys, incremental and naive agree "
+    "exactly",
     hostile_safe=False,
 )
 def _exploration_variants_agree(
@@ -236,7 +238,51 @@ def _exploration_variants_agree(
                 f"explore-incremental vs {name} on {event}/{goal}/{extend} "
                 f"k={k} attrs={attrs!r} key={key!r}: {problems[0]}"
             )
+    # Time-varying attributes can make counts non-monotone along chains,
+    # where the by-definition oracle may legitimately differ; the batched
+    # walk and the naive per-pair path must still agree exactly.
+    varying = _pick_attributes(rng, graph)
+    varying_key = (
+        _draw_key(rng, graph, varying, entity)
+        if varying and graph.n_nodes and rng.integers(2)
+        else None
+    )
+    fast, slow = (
+        explore(
+            graph, event, goal, extend, k, entity, varying, varying_key,
+            incremental=incremental,
+        )
+        for incremental in (True, False)
+    )
+    if fast != slow:
+        problems = fast.diff(slow) or (
+            f"pair order, sides or evaluations differ: {fast} != {slow}",
+        )
+        return (
+            f"explore-incremental vs explore-naive on {event}/{goal}/{extend} "
+            f"k={k} attrs={varying!r} key={varying_key!r}: {problems[0]}"
+        )
     return None
+
+
+def _draw_key(
+    rng: np.random.Generator,
+    graph: TemporalGraph,
+    attributes: list[str],
+    entity: EntityKind,
+) -> Any:
+    """A key over ``attributes``: a random node's tuple at a random time
+    point per endpoint (it may never occur, e.g. where the node is
+    absent)."""
+
+    def node_tuple() -> tuple[Any, ...]:
+        node = graph.nodes[int(rng.integers(graph.n_nodes))]
+        time = graph.timeline.labels[int(rng.integers(len(graph.timeline)))]
+        return tuple(graph.attribute_value(node, a, time) for a in attributes)
+
+    if entity is EntityKind.NODES:
+        return node_tuple()
+    return node_tuple(), node_tuple()
 
 
 @register_law(

@@ -1,11 +1,12 @@
 """Parity suite: the incremental chain evaluator vs. the naive path.
 
-The incremental engine (reference mask once per chain, extended mask
-maintained by one OR/AND per step, vectorized appearance counting) must
-be *bit-identical* to the naive per-pair evaluation across all eight
-Table-1 strategy cases, on the example graph and on the MovieLens/DBLP
-fixtures, with static and time-varying attributes, with and without
-keys.  Any drift here is a correctness bug, not a tolerance issue.
+The incremental engine (batched depth-at-a-time walks over packed
+presence rows, the per-step ``chain`` walk, vectorized appearance
+counting) must be *bit-identical* to the naive per-pair evaluation
+across all Table-1 strategy cases and threshold ladders, on the example
+graph and on the MovieLens/DBLP fixtures, with static and time-varying
+attributes, with and without keys.  Any drift here is a correctness
+bug, never a matter of tolerance.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
+from repro.obs.metrics import MetricsRegistry, set_metrics
 
 TABLE1_CASES = list(itertools.product(EventType, Goal, ExtendSide))
 
@@ -40,6 +42,8 @@ COUNTER_CONFIGS = {
         (EntityKind.EDGES, ("gender",), (("f",), ("f",))),
         (EntityKind.NODES, ("gender", "publications"), ("f", 1)),
         (EntityKind.EDGES, ("publications",), None),
+        # A time-varying key that never occurs.
+        (EntityKind.NODES, ("publications",), (99,)),
     ],
     "small_movielens": [
         (EntityKind.EDGES, (), None),
@@ -50,6 +54,12 @@ COUNTER_CONFIGS = {
         (EntityKind.EDGES, (), None),
         (EntityKind.NODES, ("gender",), ("f",)),
         (EntityKind.EDGES, ("publications",), None),
+        # Time-varying keyed edges and nodes, time-varying keyless
+        # nodes, and a static key that never occurs.
+        (EntityKind.EDGES, ("gender", "publications"), (("f", 1), ("m", 2))),
+        (EntityKind.NODES, ("publications",), (1,)),
+        (EntityKind.NODES, ("publications",), None),
+        (EntityKind.EDGES, ("gender",), (("x",), ("f",))),
     ],
 }
 
@@ -88,6 +98,120 @@ class TestExploreParity:
                     graph, event, goal, extend, 1, incremental=False, **kwargs
                 )
                 assert fast == slow, (entity, attributes, key, event, goal, extend)
+
+
+#: The exploration counters both paths must move by the same amounts.
+EXPLORATION_COUNTERS = (
+    "exploration.chains",
+    "exploration.chain_steps",
+    "exploration.pruned_steps",
+)
+
+
+def _counted_explore(graph, case, k, config, **options):
+    """``explore`` under a fresh metrics registry: the result, and the
+    registry holding the metrics it moved."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        result = explore(graph, *case, k, *config, **options)
+    finally:
+        set_metrics(previous)
+    return result, registry
+
+
+def _ladder(graph, event, config):
+    """k in {1, 2, the median consecutive count, the maximum + 1}."""
+    counts = consecutive_event_counts(graph, event, *config)
+    ladder = {1, 2}
+    if counts:
+        ladder |= {max(1, round(float(np.median(counts)))), max(counts) + 1}
+    return sorted(ladder)
+
+
+def _assert_ladders_agree(graph, configs, **options):
+    """Every Table-1 case, counter configuration and ladder threshold:
+    the batched walk (under ``options``) equals the naive path, counts,
+    evaluations, sides, order and exploration counters alike.  Returns
+    how many batched runs there were and how many fanned out to a pool."""
+    runs = pooled = 0
+    for config in configs:
+        for case in TABLE1_CASES:
+            for k in _ladder(graph, case[0], config):
+                fast, fast_metrics = _counted_explore(
+                    graph, case, k, config, **options
+                )
+                slow, slow_metrics = _counted_explore(
+                    graph, case, k, config, incremental=False
+                )
+                assert fast == slow, (config, case, k)
+                assert all(type(pair.count) is int for pair in fast.pairs)
+                for name in EXPLORATION_COUNTERS:
+                    assert fast_metrics.counter(name) == slow_metrics.counter(
+                        name
+                    ), (name, config, case, k)
+                runs += 1
+                pooled += fast_metrics.counter("parallel.maps")
+    return runs, pooled
+
+
+class TestThresholdLadders:
+    """The batched walk vs. the naive path past k=1, where chains run
+    deep before U-Explore passes or I-Explore fails."""
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_every_case_and_counter(self, request, dataset):
+        graph = _graph(request, dataset)
+        _assert_ladders_agree(graph, COUNTER_CONFIGS[dataset])
+
+    def test_entity_count_not_a_multiple_of_64(self, small_dblp):
+        graph = small_dblp.take(
+            range(small_dblp.n_nodes), range(130), small_dblp.timeline.labels
+        )
+        assert graph.n_edges == 130 and graph.n_nodes > 64
+        _assert_ladders_agree(graph, COUNTER_CONFIGS["small_dblp"])
+
+    @pytest.mark.parametrize("n_times", [1, 2])
+    def test_short_timelines(self, small_dblp, n_times):
+        graph = small_dblp.take(
+            range(small_dblp.n_nodes),
+            range(small_dblp.n_edges),
+            small_dblp.timeline.labels[:n_times],
+        )
+        _assert_ladders_agree(graph, COUNTER_CONFIGS["small_dblp"])
+
+    def test_pool_route_slices_start_mid_timeline(self, small_dblp, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
+        configs = [COUNTER_CONFIGS["small_dblp"][i] for i in (1, 3, 5)]
+        runs, pooled = _assert_ladders_agree(small_dblp, configs, parallelism=2)
+        assert pooled == runs > 0
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_every_batched_pair_matches_its_count(self, request, dataset):
+        """Every event on every walk, including the (event, side)
+        combinations no Table-1 case routes there: with ``k=0`` every
+        consecutive and longest pair is reported, and I-Explore reports
+        each chain's full extension."""
+        graph = _graph(request, dataset)
+        last = len(graph.timeline) - 1
+        for config in COUNTER_CONFIGS[dataset]:
+            counter = EventCounter(graph, *config)
+            for event in EventType:
+                evaluator = ChainEvaluator(counter, event)
+                walks = [
+                    evaluator.walk_consecutive(0, last, 0),
+                    evaluator.walk_longest(ExtendSide.OLD, 0, last, 0),
+                    evaluator.walk_longest(ExtendSide.NEW, 0, last, 0),
+                ] + [
+                    evaluator.walk_chains(0, last, extend, Semantics.INTERSECTION, 0)
+                    for extend in ExtendSide
+                ]
+                for pairs, _ in walks:
+                    assert len(pairs) == last
+                    for old, new, count in pairs:
+                        assert count == counter.count(event, old, new), (
+                            config, event, old, new
+                        )
 
 
 class TestExhaustiveParity:

@@ -3,6 +3,8 @@
 import ast
 import json
 import re
+import sys
+import threading
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -166,6 +168,40 @@ class TestMetrics:
         replacement = MetricsRegistry()
         assert set_metrics(replacement) is current
         assert set_metrics(current) is replacement
+
+    def test_concurrent_increments_are_never_lost(self):
+        # A tiny switch interval makes threads preempt each other inside
+        # an unlocked read-add-write, which then loses increments.
+        registry = MetricsRegistry()
+
+        def bump():
+            for _ in range(20_000):
+                registry.inc("hits")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=bump) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert registry.counter("hits") == 160_000
+
+    def test_merge_adds_counters_and_histograms(self):
+        source = MetricsRegistry()
+        source.inc("c", 2)
+        source.gauge("g", 3.0)
+        source.observe("t", 0.5)
+        target = MetricsRegistry()
+        target.inc("c")
+        target.observe("t", 0.25)
+        target.merge(source.dump())
+        assert target.counter("c") == 3
+        assert target.gauge_value("g") == 3.0
+        assert target.timing("t").count == 2
 
 
 class TestExport:

@@ -20,6 +20,7 @@ from repro.exploration import (
     Semantics,
 )
 from repro.session import GraphTempoSession
+from repro.storage import backend_names
 from repro.streaming import (
     EdgeEvent,
     EvolutionView,
@@ -266,6 +267,47 @@ class TestExplorationView:
             padded[: got.mask.shape[0]] = got.mask
             assert (padded == want.mask).all()
         assert view.counts() == tuple(s.count for s in expected)
+
+    @pytest.mark.parametrize("backend", backend_names())
+    @pytest.mark.parametrize(
+        "view_options",
+        [
+            {"event": EventType.GROWTH},
+            {
+                "event": EventType.STABILITY,
+                "semantics": Semantics.INTERSECTION,
+                "entity": EntityKind.NODES,
+                "attributes": ["color"],
+                "key": ("red",),
+            },
+        ],
+    )
+    def test_append_reads_only_the_appended_column(
+        self, tiny_graph, backend, view_options, monkeypatch
+    ):
+        initial, updates = split_history(tiny_graph.with_storage(backend))
+        view = ExplorationView(reference=0, **view_options)
+        store = StreamingStore(initial, views=[view])
+        backend_type = type(store.graph.storage)
+
+        def refuse(self, entity):
+            raise AssertionError("an append read the whole presence matrix")
+
+        monkeypatch.setattr(backend_type, "presence_matrix", refuse)
+        for update in updates:
+            store.append_snapshot(update)
+        monkeypatch.undo()
+        assert type(store.graph.storage) is backend_type
+        counter = EventCounter(
+            store.graph,
+            entity=view.entity,
+            attributes=view.attributes,
+            key=view.key,
+        )
+        expected = ChainEvaluator(counter, view.event).chain(
+            0, ExtendSide.NEW, view.semantics
+        )
+        assert view.counts() == tuple(step.count for step in expected)
 
     def test_keyed_static_counts(self, paper_graph):
         view = ExplorationView(
