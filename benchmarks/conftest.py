@@ -110,11 +110,6 @@ def obs_baseline() -> dict:
 
 
 @pytest.fixture(scope="session")
-def parallel_baseline() -> dict:
-    return load_baseline("BENCH_parallel.json")
-
-
-@pytest.fixture(scope="session")
 def streaming_baseline() -> dict:
     return load_baseline("BENCH_streaming.json")
 

@@ -3,9 +3,6 @@ per-figure experiment drivers of Section 5.1."""
 
 from .experiments import (
     ExperimentSeries,
-    SweepSpec,
-    run_sweep,
-    run_sweeps,
     fig5_timepoint_aggregation,
     fig6_union_aggregation,
     fig7_intersection_aggregation,
@@ -25,9 +22,6 @@ __all__ = [
     "format_series",
     "ascii_chart",
     "ExperimentSeries",
-    "SweepSpec",
-    "run_sweep",
-    "run_sweeps",
     "fig5_timepoint_aggregation",
     "fig6_union_aggregation",
     "fig7_intersection_aggregation",

@@ -19,22 +19,17 @@ difference figures the reference point ``T_new`` is the last time point.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..core import TemporalGraph, difference, project, union
-from ..errors import ConfigurationError
 from ..materialize import MaterializedStore
-from ..parallel import get_executor
 from ..testing.reference import aggregate_reference
 from .timing import measure
 
 __all__ = [
     "ExperimentSeries",
-    "SweepSpec",
-    "run_sweep",
-    "run_sweeps",
     "fig5_timepoint_aggregation",
     "fig6_union_aggregation",
     "fig7_intersection_aggregation",
@@ -302,65 +297,6 @@ def fig10_materialized_union_speedup(
     return result
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One figure sweep to run: the driver's name and its kwargs.
-
-    Specs are plain picklable data, so a list of them can be fanned out
-    over a process pool (:func:`run_sweeps`) — each worker re-runs the
-    named ``fig*`` driver against the shared graph payload.  ``kwargs``
-    is stored as a sorted item tuple to keep the spec hashable and its
-    repr stable.
-    """
-
-    figure: str
-    kwargs: tuple[tuple[str, Any], ...] = ()
-
-    @classmethod
-    def make(cls, figure: str, **kwargs: Any) -> "SweepSpec":
-        return cls(figure, tuple(sorted(kwargs.items())))
-
-
-def run_sweep(graph: TemporalGraph, spec: SweepSpec) -> ExperimentSeries:
-    """Run one named figure sweep against ``graph``."""
-    driver = _SWEEP_DRIVERS.get(spec.figure)
-    if driver is None:
-        raise ConfigurationError(
-            f"unknown sweep figure {spec.figure!r}; "
-            f"known: {sorted(_SWEEP_DRIVERS)}"
-        )
-    return driver(graph, **dict(spec.kwargs))
-
-
-def _sweep_task(payload: TemporalGraph, task: SweepSpec) -> ExperimentSeries:
-    """Chunk worker: one sweep per task, graph shared as the payload."""
-    return run_sweep(payload, task)
-
-
-def run_sweeps(
-    graph: TemporalGraph,
-    specs: Sequence[SweepSpec],
-    parallelism: int | str | None = None,
-) -> list[ExperimentSeries]:
-    """Run several figure sweeps, optionally concurrently.
-
-    Results come back in spec order regardless of completion order.
-    Note the caveat that does *not* apply elsewhere in the parallel
-    layer: sweeps measure wall time, so running them concurrently on a
-    loaded machine perturbs the timings themselves — use pools to
-    shorten exploratory iterations, and serial runs for publishable
-    numbers (see ``docs/parallelism.md``).
-    """
-    for spec in specs:  # validate before paying for any sweep
-        if spec.figure not in _SWEEP_DRIVERS:
-            raise ConfigurationError(
-                f"unknown sweep figure {spec.figure!r}; "
-                f"known: {sorted(_SWEEP_DRIVERS)}"
-            )
-    executor = get_executor(parallelism, chunk_size=1)
-    return executor.map(_sweep_task, list(specs), graph)
-
-
 def fig11_attribute_rollup_speedup(
     graph: TemporalGraph,
     superset: Sequence[str],
@@ -397,15 +333,3 @@ def fig11_attribute_rollup_speedup(
                 scratch.best / derived.best if derived.best > 0 else float("inf")
             )
     return result
-
-
-#: Figure name -> driver, the dispatch table :class:`SweepSpec` names.
-_SWEEP_DRIVERS: Mapping[str, Any] = {
-    "fig5": fig5_timepoint_aggregation,
-    "fig6": fig6_union_aggregation,
-    "fig7": fig7_intersection_aggregation,
-    "fig8": fig8_difference_old_new,
-    "fig9": fig9_difference_new_old,
-    "fig10": fig10_materialized_union_speedup,
-    "fig11": fig11_attribute_rollup_speedup,
-}

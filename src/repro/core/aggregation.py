@@ -26,7 +26,6 @@ from typing import Any
 from ..frames import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
-from ..parallel import Executor, InlineExecutor, get_executor, plan_chunks
 from .fast import check_no_dangling_edges, count_edges, count_nodes, window_cells
 from .graph import TemporalGraph
 from .intervals import TimeSet
@@ -270,74 +269,11 @@ def _node_tuple_table(
     return Table(("id", "t", "tuple"), rows_out)
 
 
-# ----------------------------------------------------------------------
-# Parallel partial
-#
-# The kernel decomposes over *entity rows*: a node's (or edge's)
-# contribution to the weight maps depends only on its own presence row
-# and attribute values, and DIST deduplication is always intra-entity
-# (``(row, tuple)`` keys).  Partitioning the row range therefore never
-# splits a dedup group across chunks, and partial weight dicts merge by
-# plain summation for DIST and ALL alike — which is what makes the
-# parallel result bit-identical to the serial one.
-# ----------------------------------------------------------------------
-
-#: ``(graph, attributes, window positions, distinct)`` — the read-only
-#: payload shared with every partial worker.
-_PartialPayload = tuple[TemporalGraph, tuple[str, ...], tuple[int, ...], bool]
-#: ``(kind, start, stop)`` — one slice of node or edge row indices.
-_PartialTask = tuple[str, int, int]
-
-
-def _partial_weights(
-    payload: _PartialPayload, task: _PartialTask
-) -> dict[Any, int]:
-    """Chunk worker: the kernel's weights for one slice of entity rows.
-
-    Module-level (and closed over nothing) so the process pool can pickle
-    it; :class:`~repro.parallel.InlineExecutor` runs the very same
-    function, which is what the parity suite leans on.  An edge slice
-    factorizes every node row, since its endpoints may lie anywhere.
-    """
-    graph, attributes, positions, distinct = payload
-    kind, start, stop = task
-    if kind == "node":
-        cells = window_cells(graph, attributes, positions, start, stop)
-        return count_nodes(cells, distinct)
-    cells = window_cells(graph, attributes, positions)
-    return count_edges(graph, cells, positions, distinct, start, stop)
-
-
-def _aggregate_parallel(
-    payload: _PartialPayload, executor: Executor
-) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
-    """Fan the partial worker out over entity-row slices and merge."""
-    graph = payload[0]
-    tasks: list[_PartialTask] = [
-        ("node", chunk.start, chunk.stop)
-        for chunk in plan_chunks(graph.n_nodes, executor.workers)
-    ]
-    tasks += [
-        ("edge", chunk.start, chunk.stop)
-        for chunk in plan_chunks(graph.n_edges, executor.workers)
-    ]
-    partials = executor.map(_partial_weights, tasks, payload)
-    node_weights: dict[AttributeTuple, int] = {}
-    edge_weights: dict[EdgeKey, int] = {}
-    for (kind, _, _), partial in zip(tasks, partials):
-        target: dict[Any, int] = node_weights if kind == "node" else edge_weights
-        for key, weight in partial.items():
-            target[key] = target.get(key, 0) + weight
-    return node_weights, edge_weights
-
-
 def aggregate(
     graph: TemporalGraph,
     attributes: Sequence[str],
     distinct: bool = True,
     times: Iterable[Hashable] | None = None,
-    *,
-    parallelism: int | str | None = None,
 ) -> AggregateGraph:
     """Aggregate a temporal graph on the given attributes (Definition 2.6).
 
@@ -353,11 +289,6 @@ def aggregate(
     times:
         Time points to aggregate over; defaults to the graph's whole
         timeline (which, for operator outputs, is the operator's interval).
-    parallelism:
-        ``None`` (ambient default — see :mod:`repro.parallel`), a worker
-        count, or ``"auto"``.  Implicit defaults only engage the pool
-        when the graph is large enough to amortize startup; the result
-        is bit-identical either way.
 
     Returns
     -------
@@ -367,29 +298,17 @@ def aggregate(
     window = validated_window(graph, attributes, times)
     _split_attributes(graph, attributes)  # validates names
     get_metrics().inc("aggregate.calls")
-    executor = get_executor(
-        parallelism, task_hint=(graph.n_nodes + graph.n_edges) * max(1, len(window))
-    )
     with trace_span(
         "aggregate",
         engine="kernel",
         distinct=distinct,
         attributes=tuple(attributes),
         n_times=len(window),
-        workers=executor.workers,
     ):
         positions = tuple(graph.timeline.index_of(t) for t in window)
-        if isinstance(executor, InlineExecutor):
-            cells = window_cells(graph, attributes, positions)
-            edge_weights = count_edges(graph, cells, positions, distinct)
-            node_weights = count_nodes(cells, distinct)
-        else:
-            # Validated parent-side, so a dangling edge raises the same
-            # error whether or not a pool is in play.
-            check_no_dangling_edges(graph, window)
-            node_weights, edge_weights = _aggregate_parallel(
-                (graph, tuple(attributes), positions, distinct), executor
-            )
+        cells = window_cells(graph, attributes, positions)
+        edge_weights = count_edges(graph, cells, positions, distinct)
+        node_weights = count_nodes(cells, distinct)
         return AggregateGraph(
             tuple(attributes), node_weights, edge_weights, distinct=distinct
         )

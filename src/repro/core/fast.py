@@ -61,15 +61,12 @@ def window_cells(
     graph: TemporalGraph,
     attributes: Sequence[str],
     positions: Sequence[int],
-    start: int = 0,
-    stop: int | None = None,
 ) -> WindowCells:
     """Factorize the attribute tuples of the nodes present at timeline
-    ``positions``, scanning node rows ``[start, stop)``.  A present node
-    whose time-varying value is ``None`` carries ``None`` in its tuple."""
+    ``positions``.  A present node whose time-varying value is ``None``
+    carries ``None`` in its tuple."""
     at = np.asarray(positions, dtype=np.intp)
-    rows, cols = np.nonzero(graph.node_presence.values[start:stop][:, at])
-    rows += start
+    rows, cols = np.nonzero(graph.node_presence.values[:, at])
     key, bound = np.zeros(rows.size, dtype=np.int64), 1
     layers = []
     for name in attributes:
@@ -171,18 +168,15 @@ def _edge_cells(
     cells: WindowCells,
     positions: Sequence[int],
     strict: bool,
-    start: int = 0,
-    stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Any]]:
-    """``(edge rows, cols, pair codes, pairs)`` of the present cells of
-    edge rows ``[start, stop)`` whose endpoints are both present.
+    """``(edge rows, cols, pair codes, pairs)`` of the present edge
+    cells whose endpoints are both present.
 
-    ``cells`` must cover every node row.  A dangling edge present in the
-    window raises when ``strict`` and is dropped otherwise.
+    A dangling edge present in the window raises when ``strict`` and is
+    dropped otherwise.
     """
-    block = graph.edge_presence.values[start:stop][:, np.asarray(positions, np.intp)]
+    block = graph.edge_presence.values[:, np.asarray(positions, np.intp)]
     erows, ecols = np.nonzero(block)
-    erows += start
     src, dst = (rows[erows] for rows in graph.storage.endpoint_rows())
     resolved = (src >= 0) & (dst >= 0)
     if strict and not resolved.all():
@@ -203,11 +197,9 @@ def count_edges(
     cells: WindowCells,
     positions: Sequence[int],
     distinct: bool,
-    start: int = 0,
-    stop: int | None = None,
 ) -> dict[tuple[tuple[Any, ...], tuple[Any, ...]], int]:
-    """Edge weights of edge rows ``[start, stop)`` over the window."""
-    erows, _, codes, pairs = _edge_cells(graph, cells, positions, True, start, stop)
+    """Edge weights over the window."""
+    erows, _, codes, pairs = _edge_cells(graph, cells, positions, True)
     return _count(erows, codes, pairs, distinct)
 
 

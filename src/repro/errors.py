@@ -23,13 +23,7 @@ The taxonomy mirrors the paper's structure:
   materialization store and user-facing configuration surfaces;
 * :class:`StorageError` — the pluggable storage substrate
   (:mod:`repro.storage`) was misused: unknown backend name, corrupt
-  persisted layout, or a write into a read-only mapping;
-* :class:`ParallelError` (with :class:`WorkerCrashError` /
-  :class:`WorkerTimeoutError`) — the :mod:`repro.parallel` execution
-  layer could not complete a fan-out.  Domain failures raised *inside* a
-  worker re-raise as their original taxonomy type; only infrastructure
-  failures (crashed worker, timeout, unpicklable task) surface as
-  ``ParallelError``.
+  persisted layout, or a write into a read-only mapping.
 
 The labeled-array substrate keeps its own hierarchy in
 :mod:`repro.frames.errors`; its root :class:`~repro.frames.errors.FrameError`
@@ -55,9 +49,6 @@ __all__ = [
     "MaterializationError",
     "ConfigurationError",
     "StorageError",
-    "ParallelError",
-    "WorkerCrashError",
-    "WorkerTimeoutError",
     # Labeled-array substrate errors, re-exported from repro.frames.errors.
     "FrameError",
     "LabelError",
@@ -129,30 +120,6 @@ class StorageError(ValidationError):
     """A :mod:`repro.storage` backend was selected, constructed or
     persisted inconsistently (unknown backend name, corrupt on-disk
     layout, write into a read-only mapping)."""
-
-
-class ParallelError(GraphTempoError, RuntimeError):
-    """The parallel execution layer failed to complete a fan-out.
-
-    Carries the failing task spec (when one is known) as :attr:`task`,
-    so a crash or timeout names the unit of work that triggered it.
-    Inherits :class:`RuntimeError`: the inputs were fine, the
-    infrastructure was not.
-    """
-
-    def __init__(self, message: str, *, task: object = None) -> None:
-        super().__init__(message)
-        #: The task spec that was running (or pending) when the fan-out
-        #: failed, ``None`` when no single task can be blamed.
-        self.task = task
-
-
-class WorkerCrashError(ParallelError):
-    """A worker process died without reporting a result."""
-
-
-class WorkerTimeoutError(ParallelError):
-    """A parallel fan-out exceeded its deadline."""
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core import TemporalGraph
-from ..parallel import InlineExecutor, get_executor, plan_chunks
 from .events import ChainEvaluator, ChainStep, EntityKind, EventCounter, EventType
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
@@ -159,47 +158,51 @@ def _record_pruning(
 
 
 # ----------------------------------------------------------------------
-# Ranged chunk workers
+# Strategies
 #
-# Each Table-1 strategy iterates independent reference points, so its
-# walk runs unchanged over any slice ``[start, stop)`` of the reference
-# range: the incremental path is one batched ChainEvaluator walk over
-# the slice, the naive one a per-step loop per reference.  The serial
-# path executes the same worker over the full range ``(0, references)``
-# — parallel and serial results are the same function applied to a
-# partition vs. the whole, concatenated in chunk order, hence
-# bit-identical.  Workers return ``(pairs, evaluations)``; pruning/chain
-# metrics accumulate in the worker registry and are merged back by the
-# pool.
+# Each Table-1 strategy walks every reference point of the timeline: the
+# incremental path is one batched ChainEvaluator walk over the whole
+# reference range, the naive one a per-step loop per reference.  A
+# strategy returns the reported pairs in reference order and the number
+# of pairs it evaluated.
 # ----------------------------------------------------------------------
 
-#: ``(counter, event, goal, extend, k, incremental)`` — shared with every
-#: chunk.
-_StrategyPayload = tuple[EventCounter, EventType, Goal, ExtendSide, int, bool]
-#: One slice ``(start, stop)`` of chain reference indices.
-_ReferenceRange = tuple[int, int]
-_ChunkResult = tuple[list[IntervalPairResult], int]
+_Found = tuple[list[IntervalPairResult], int]
 
 
-def _reported(walk: tuple[list[tuple[Side, Side, int]], int]) -> _ChunkResult:
+def _reported(walk: tuple[list[tuple[Side, Side, int]], int]) -> _Found:
     """A batched walk's ``(old, new, count)`` triples as results."""
     found, evaluations = walk
     return [IntervalPairResult(*pair) for pair in found], evaluations
 
 
-def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
-    """U-Explore over one slice of reference points."""
-    counter, event, _goal, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    if incremental:
+def _evaluator(
+    counter: EventCounter, event: EventType, incremental: bool
+) -> tuple[ChainEvaluator, int]:
+    """The chain evaluator of a run and its number of reference points."""
+    references = max(0, counter._presence().shape[1] - 1)
+    return ChainEvaluator(counter, event, incremental=incremental), references
+
+
+def _result(
+    event: EventType, goal: Goal, extend: ExtendSide, k: int, found: _Found
+) -> ExplorationResult:
+    pairs, evaluations = found
+    return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
+
+
+def _u_strategy(
+    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
+) -> _Found:
+    """U-Explore over every reference point."""
+    if evaluator.incremental:
         return _reported(
-            evaluator.walk_chains(start, stop, extend, Semantics.UNION, k)
+            evaluator.walk_chains(0, references, extend, Semantics.UNION, k)
         )
-    n_times = len(counter.graph.timeline)
+    n_times = len(evaluator.counter.graph.timeline)
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for reference in range(start, stop):
+    for reference in range(references):
         taken = 0
         for step in evaluator.chain(reference, extend, Semantics.UNION):
             taken += 1
@@ -211,19 +214,18 @@ def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     return pairs, evaluations
 
 
-def _i_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
-    """I-Explore over one slice of reference points."""
-    counter, event, _goal, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    if incremental:
+def _i_strategy(
+    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
+) -> _Found:
+    """I-Explore over every reference point."""
+    if evaluator.incremental:
         return _reported(
-            evaluator.walk_chains(start, stop, extend, Semantics.INTERSECTION, k)
+            evaluator.walk_chains(0, references, extend, Semantics.INTERSECTION, k)
         )
-    n_times = len(counter.graph.timeline)
+    n_times = len(evaluator.counter.graph.timeline)
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for reference in range(start, stop):
+    for reference in range(references):
         candidate: IntervalPairResult | None = None
         taken = 0
         for step in evaluator.chain(reference, extend, Semantics.INTERSECTION):
@@ -239,78 +241,34 @@ def _i_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
     return pairs, evaluations
 
 
-def _consecutive_chunk(
-    payload: _StrategyPayload, task: _ReferenceRange
-) -> _ChunkResult:
-    """Consecutive-pairs strategy over one slice of reference points."""
-    counter, event, _goal, _extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    if incremental:
-        return _reported(evaluator.walk_consecutive(start, stop, k))
+def _consecutive_strategy(
+    evaluator: ChainEvaluator, k: int, references: int
+) -> _Found:
+    """Consecutive-pairs strategy over every reference point."""
+    if evaluator.incremental:
+        return _reported(evaluator.walk_consecutive(0, references, k))
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for step in evaluator.consecutive(start, stop):
+    for step in evaluator.consecutive(0, references):
         evaluations += 1
         if step.count >= k:
             pairs.append(_pair(step))
     return pairs, evaluations
 
 
-def _longest_chunk(
-    payload: _StrategyPayload, task: _ReferenceRange
-) -> _ChunkResult:
-    """Longest-extension strategy over one slice of reference points."""
-    counter, event, _goal, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    if incremental:
-        return _reported(evaluator.walk_longest(extend, start, stop, k))
+def _longest_strategy(
+    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
+) -> _Found:
+    """Longest-extension strategy over every reference point."""
+    if evaluator.incremental:
+        return _reported(evaluator.walk_longest(extend, 0, references, k))
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for step in evaluator.longest(extend, start, stop):
+    for step in evaluator.longest(extend, 0, references):
         evaluations += 1
         if step.count >= k:
             pairs.append(_pair(step))
     return pairs, evaluations
-
-
-def _run_strategy(
-    chunk_fn: Any,
-    goal: Goal,
-    counter: EventCounter,
-    event: EventType,
-    extend: ExtendSide,
-    k: int,
-    incremental: bool,
-    parallelism: int | str | None,
-) -> ExplorationResult:
-    """Run a ranged chunk worker over every reference point.
-
-    Serial executors get one call over the full range; pools get the
-    range partitioned by the chunk planner and the slices' results
-    concatenated in chunk order.
-    """
-    payload: _StrategyPayload = (counter, event, goal, extend, k, incremental)
-    n_rows, n_times = counter._presence().shape
-    references = max(0, n_times - 1)
-    executor = get_executor(
-        parallelism, task_hint=references * n_times * max(1, n_rows)
-    )
-    if isinstance(executor, InlineExecutor):
-        pairs, evaluations = chunk_fn(payload, (0, references))
-        return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
-    tasks = [
-        (chunk.start, chunk.stop)
-        for chunk in plan_chunks(references, executor.workers)
-    ]
-    results = executor.map(chunk_fn, tasks, payload)
-    pairs = []
-    evaluations = 0
-    for chunk_pairs, chunk_evaluations in results:
-        pairs.extend(chunk_pairs)
-        evaluations += chunk_evaluations
-    return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
 
 
 def u_explore(
@@ -320,19 +278,17 @@ def u_explore(
     k: int,
     *,
     incremental: bool = True,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Union Exploration (Section 3.2): minimal pairs with >= k events.
 
     The extended side walks its union semi-lattice; counts are
     monotonically increasing along the chain, so the first pair reaching
     ``k`` is the minimal one for its reference point and the rest of the
-    chain is pruned.  Reference points are independent, so a pool
-    distributes them without touching the per-chain pruning.
+    chain is pruned.
     """
-    return _run_strategy(
-        _u_chunk, Goal.MINIMAL, counter, event, extend, k, incremental, parallelism
-    )
+    evaluator, references = _evaluator(counter, event, incremental)
+    found = _u_strategy(evaluator, extend, k, references)
+    return _result(event, Goal.MINIMAL, extend, k, found)
 
 
 def i_explore(
@@ -342,7 +298,6 @@ def i_explore(
     k: int,
     *,
     incremental: bool = True,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Intersection Exploration (Section 3.2): maximal pairs with >= k.
 
@@ -352,9 +307,9 @@ def i_explore(
     the first failure.  References whose shortest pair already fails are
     pruned entirely (step 2 of the paper's algorithm).
     """
-    return _run_strategy(
-        _i_chunk, Goal.MAXIMAL, counter, event, extend, k, incremental, parallelism
-    )
+    evaluator, references = _evaluator(counter, event, incremental)
+    found = _i_strategy(evaluator, extend, k, references)
+    return _result(event, Goal.MAXIMAL, extend, k, found)
 
 
 def explore(
@@ -368,7 +323,6 @@ def explore(
     key: Any = None,
     *,
     incremental: bool = True,
-    parallelism: int | str | None = None,
     counter: EventCounter | None = None,
 ) -> ExplorationResult:
     """Run one of the eight Table-1 exploration cases.
@@ -389,11 +343,6 @@ def explore(
     incremental:
         Evaluate chains incrementally (the default) or naively per pair;
         the results are identical, only the cost differs.
-    parallelism:
-        ``None`` (ambient default — see :mod:`repro.parallel`), a worker
-        count, or ``"auto"``.  Chains are distributed over reference
-        points; the per-chain U-/I-Explore pruning is untouched and the
-        result is bit-identical to a serial run.
     counter:
         A prebuilt counter for exactly this graph, entity, attribute list
         and key -- the query planner passes one sharing its cube's index
@@ -427,27 +376,26 @@ def explore(
         widening = event is EventType.STABILITY or (
             (extend is ExtendSide.NEW) == (event is EventType.GROWTH)
         )
-        args = (counter, event, extend, k, incremental, parallelism)
-        if goal is Goal.MINIMAL:
-            if widening:
-                return _run_strategy(_u_chunk, goal, *args)
-            return _run_strategy(_consecutive_chunk, goal, *args)
-        if widening:
-            return _run_strategy(_i_chunk, goal, *args)
-        return _run_strategy(_longest_chunk, goal, *args)
+        evaluator, references = _evaluator(counter, event, incremental)
+        if goal is Goal.MINIMAL and widening:
+            found = _u_strategy(evaluator, extend, k, references)
+        elif goal is Goal.MINIMAL:
+            found = _consecutive_strategy(evaluator, k, references)
+        elif widening:
+            found = _i_strategy(evaluator, extend, k, references)
+        else:
+            found = _longest_strategy(evaluator, extend, k, references)
+        return _result(event, goal, extend, k, found)
 
 
-def _exhaustive_chunk(
-    payload: _StrategyPayload, task: _ReferenceRange
-) -> _ChunkResult:
-    """The oracle explorer's unpruned walk over one reference slice."""
-    counter, event, goal, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
+def _exhaustive_strategy(
+    evaluator: ChainEvaluator, goal: Goal, extend: ExtendSide, k: int, references: int
+) -> _Found:
+    """The oracle explorer's unpruned walk over every reference point."""
     semantics = Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for reference in range(start, stop):
+    for reference in range(references):
         passing: list[IntervalPairResult] = []
         for step in evaluator.chain(reference, extend, semantics):
             evaluations += 1
@@ -478,7 +426,6 @@ def exhaustive_explore(
     key: Any = None,
     *,
     incremental: bool = True,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Oracle explorer: evaluates *every* pair in the case's candidate
     space and selects minimal/maximal pairs by definition.
@@ -499,6 +446,6 @@ def exhaustive_explore(
         k=k,
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        return _run_strategy(
-            _exhaustive_chunk, goal, counter, event, extend, k, incremental, parallelism
-        )
+        evaluator, references = _evaluator(counter, event, incremental)
+        found = _exhaustive_strategy(evaluator, goal, extend, k, references)
+        return _result(event, goal, extend, k, found)

@@ -18,7 +18,6 @@ measured overhead budget (see ``benchmarks/bench_obs_overhead.py``).
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from typing import Any
 
 __all__ = [
@@ -69,26 +68,6 @@ class TimingHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def dump(self) -> dict[str, Any]:
-        """The raw internal state (for cross-process merging)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": list(self._buckets),
-        }
-
-    def merge(self, dump: Mapping[str, Any]) -> None:
-        """Fold another histogram's :meth:`dump` into this one."""
-        self.count += dump["count"]
-        self.total += dump["total"]
-        if dump["count"]:
-            self.min = min(self.min, dump["min"])
-            self.max = max(self.max, dump["max"])
-        for i, n in enumerate(dump["buckets"]):
-            self._buckets[i] += n
-
     def snapshot(self) -> dict[str, Any]:
         """A JSON-serializable summary of the samples seen so far."""
         buckets = {
@@ -117,10 +96,8 @@ class MetricsRegistry:
     names return zero rather than raising, so report code never has to
     guard against a path that happened not to run.
 
-    ``inc``, ``observe`` and ``merge`` are read-add-write updates, made
-    atomic by a per-registry lock.  A pool worker swaps in a fresh
-    registry for each chunk, so no lock held at a fork is ever taken in
-    the registry the worker writes.
+    ``inc`` and ``observe`` are read-add-write updates, made atomic by a
+    per-registry lock.
     """
 
     __slots__ = ("_counters", "_gauges", "_timings", "_lock")
@@ -176,41 +153,6 @@ class MetricsRegistry:
             },
         }
 
-    def dump(self) -> dict[str, Any]:
-        """The registry's raw state, for :meth:`merge` across processes.
-
-        Unlike :meth:`snapshot` (a presentation format), the dump keeps
-        histograms as raw bucket arrays so merging is exact.
-        """
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "timings": {
-                name: histogram.dump()
-                for name, histogram in self._timings.items()
-            },
-        }
-
-    def merge(self, dump: Mapping[str, Any]) -> None:
-        """Fold another registry's :meth:`dump` into this one.
-
-        Counters and histogram samples add; gauges are last-write-wins
-        (the merged dump's value overwrites).  This is how
-        :class:`~repro.parallel.ParallelExecutor` re-homes each worker
-        chunk's metric delta, so a parallel run's totals equal the
-        serial run's.
-        """
-        with self._lock:
-            counters = self._counters
-            for name, value in dump["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-            self._gauges.update(dump["gauges"])
-            for name, timing_dump in dump["timings"].items():
-                histogram = self._timings.get(name)
-                if histogram is None:
-                    histogram = self._timings[name] = TimingHistogram()
-                histogram.merge(timing_dump)
-
     def reset(self) -> None:
         """Drop every metric (tests and per-run profiling)."""
         self._counters.clear()
@@ -230,8 +172,8 @@ def get_metrics() -> MetricsRegistry:
 def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry; returns the previous one.
 
-    The swap happens under a lock so concurrent swappers (tests, worker
-    initialisation, future serving sessions) see a consistent
+    The swap happens under a lock so concurrent swappers (tests,
+    profiling runs, serving sessions) see a consistent
     previous/next pair; readers stay lock-free — a module-global load is
     atomic under the GIL.
     """

@@ -1,50 +1,22 @@
-"""``repro.parallel`` — the dependency-free parallel execution layer.
+"""``repro.parallel`` — run metadata for an engine that runs inline.
 
-A chunked task planner (:mod:`repro.parallel.plan`), two executors with
-one contract — serial and the per-call process pool
-(:mod:`repro.parallel.executor`) — and the resolution rules mapping
-``parallelism=N | "auto" | None`` arguments onto them
-(:mod:`repro.parallel.config`).  The fan-out sites live with the code
-they parallelize: per-entity aggregation partials in
-:mod:`repro.core.aggregation`, per-reference exploration chains in
-:mod:`repro.exploration.explore`, figure sweeps in
-:mod:`repro.bench.experiments`.
-
-Everything the pool produces is bit-identical to the serial path — see
-``docs/parallelism.md`` for the argument and ``tests/test_parallel_parity.py``
-for the enforcement.
+Every aggregate, explore and figure sweep runs in the calling process:
+on the measured workloads a process pool never beat the single-process
+kernel (see "Why every call runs inline" in ``docs/benchmarks.md``).
+These two functions remain so that run metadata can keep recording
+which executor served a run.
 """
 
 from __future__ import annotations
 
-from .config import (
-    ENV_MIN_WORK,
-    ENV_WORKERS,
-    default_parallelism,
-    get_executor,
-    min_parallel_work,
-    parallel_backend,
-    parallelism_scope,
-    resolve_parallelism,
-)
-from .executor import Executor, InlineExecutor, ParallelExecutor, in_worker
-from .plan import DEFAULT_CHUNKS_PER_WORKER, Chunk, assemble, plan_chunks
+__all__ = ["default_parallelism", "parallel_backend"]
 
-__all__ = [
-    "Chunk",
-    "plan_chunks",
-    "assemble",
-    "DEFAULT_CHUNKS_PER_WORKER",
-    "Executor",
-    "InlineExecutor",
-    "ParallelExecutor",
-    "in_worker",
-    "default_parallelism",
-    "resolve_parallelism",
-    "parallelism_scope",
-    "get_executor",
-    "min_parallel_work",
-    "parallel_backend",
-    "ENV_WORKERS",
-    "ENV_MIN_WORK",
-]
+
+def default_parallelism() -> int:
+    """The worker count every call runs with: always 1."""
+    return 1
+
+
+def parallel_backend() -> str:
+    """The name of the executor every call runs on: always ``"inline"``."""
+    return "inline"

@@ -43,7 +43,6 @@ from .core.updates import SnapshotUpdate
 from .obs.metrics import get_metrics
 from .obs.trace import Span, get_tracer, trace_span
 from .olap import TemporalGraphCube
-from .parallel import parallelism_scope, resolve_parallelism
 from .serving import QueryServer, Served
 from .streaming import GraphVersion, StreamEvent, StreamingStore
 from .errors import UnknownLabelError, ValidationError
@@ -64,12 +63,6 @@ class GraphTempoSession:
     hierarchy:
         Optional time hierarchy; its unit labels become usable wherever
         a window is expected, and :meth:`zoom_out` uses it.
-    parallelism:
-        Session-wide default worker count (``None`` inherits the ambient
-        default, an ``int`` or ``"auto"`` pins it) — every aggregation
-        and exploration the session runs resolves inside a
-        :func:`repro.parallel.parallelism_scope` carrying this value.
-        Results are identical at any setting (see ``docs/parallelism.md``).
     storage:
         Optional storage backend name (see :mod:`repro.storage` and
         ``docs/storage.md``); the session graph — and every version the
@@ -91,7 +84,6 @@ class GraphTempoSession:
         self,
         graph: TemporalGraph,
         hierarchy: TimeHierarchy | None = None,
-        parallelism: int | str | None = None,
         storage: str | None = None,
     ) -> None:
         #: Storage backend name pinned for this session (``None``
@@ -104,16 +96,8 @@ class GraphTempoSession:
         self.graph = graph
         self.hierarchy = hierarchy
         self.cube = TemporalGraphCube(graph, hierarchy=hierarchy)
-        #: Resolved session-wide worker count (``None`` = ambient).
-        self.parallelism: int | None = (
-            None if parallelism is None else resolve_parallelism(parallelism)
-        )
         self._stream: StreamingStore | None = None
         self._server: QueryServer | None = None
-
-    def _parallel_scope(self) -> Any:
-        """The scope every session operation resolves parallelism in."""
-        return parallelism_scope(self.parallelism)
 
     # ------------------------------------------------------------------
     # Observability
@@ -268,7 +252,7 @@ class GraphTempoSession:
             "session.aggregate",
             attributes=tuple(attributes),
             distinct=distinct,
-        ), self._parallel_scope():
+        ):
             return self.cube.cuboid(
                 attributes, times=self.window(window), distinct=distinct
             )
@@ -298,7 +282,7 @@ class GraphTempoSession:
         """Aggregated evolution between two windows (Definition 2.7)."""
         with trace_span(
             "session.evolution", attributes=tuple(attributes)
-        ), self._parallel_scope():
+        ):
             return aggregate_evolution(
                 self.graph, self.window(old), self.window(new), attributes
             )
@@ -328,7 +312,7 @@ class GraphTempoSession:
             event=str(event),
             goal=str(goal),
             extend=str(extend),
-        ), self._parallel_scope():
+        ):
             if k is None:
                 k = suggest_threshold(
                     self.graph, event, mode="max",
@@ -357,7 +341,7 @@ class GraphTempoSession:
             "session.explore_groups",
             event=str(event),
             attributes=tuple(attributes),
-        ), self._parallel_scope():
+        ):
             return explore_groups(
                 self.graph, event, goal, extend, k, attributes, entity=entity
             )
@@ -372,7 +356,7 @@ class GraphTempoSession:
             raise ValidationError("zoom_out requires a session hierarchy")
         return GraphTempoSession(
             coarsen(self.graph, self.hierarchy, semantics),
-            parallelism=self.parallelism,
+            storage=self.storage,
         )
 
     # ------------------------------------------------------------------
@@ -398,8 +382,7 @@ class GraphTempoSession:
 
     def serve(self, text: str) -> Served:
         """Serve one query with provenance (result, version, route)."""
-        with self._parallel_scope():
-            return self.serving.serve(text)
+        return self.serving.serve(text)
 
     def query(self, text: str) -> Any:
         """Run a query-language statement against the session graph.

@@ -23,9 +23,9 @@ Physical layout, per graph:
   array as a ``.npy`` file; :meth:`ColumnarBackend.open` reloads them
   with ``mmap_mode="r"``, so graphs larger than RAM load lazily and the
   mapping is enforced read-only.  A memmapped backend pickles as its
-  *path* and reopens on unpickle, so ``repro.parallel`` workers — forked
-  or spawned — share the same pages instead of copying arrays (the
-  GT007 fork-safety contract).
+  *path* and reopens on unpickle, so another process that receives it —
+  forked or spawned — shares the same pages instead of copying arrays
+  (the GT007 fork-safety contract).
 
 Every primitive is bit-exact with :class:`~repro.storage.dense.DenseBackend`;
 the conformance suite (``tests/test_storage_conformance.py``) and the

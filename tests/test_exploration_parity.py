@@ -129,18 +129,14 @@ def _ladder(graph, event, config):
     return sorted(ladder)
 
 
-def _assert_ladders_agree(graph, configs, **options):
+def _assert_ladders_agree(graph, configs):
     """Every Table-1 case, counter configuration and ladder threshold:
-    the batched walk (under ``options``) equals the naive path, counts,
-    evaluations, sides, order and exploration counters alike.  Returns
-    how many batched runs there were and how many fanned out to a pool."""
-    runs = pooled = 0
+    the batched walk equals the naive path, counts, evaluations, sides,
+    order and exploration counters alike."""
     for config in configs:
         for case in TABLE1_CASES:
             for k in _ladder(graph, case[0], config):
-                fast, fast_metrics = _counted_explore(
-                    graph, case, k, config, **options
-                )
+                fast, fast_metrics = _counted_explore(graph, case, k, config)
                 slow, slow_metrics = _counted_explore(
                     graph, case, k, config, incremental=False
                 )
@@ -150,9 +146,34 @@ def _assert_ladders_agree(graph, configs, **options):
                     assert fast_metrics.counter(name) == slow_metrics.counter(
                         name
                     ), (name, config, case, k)
-                runs += 1
-                pooled += fast_metrics.counter("parallel.maps")
-    return runs, pooled
+
+
+def _stepped(steps, k):
+    """A per-pair walk's ``(old, new, count)`` triples reaching ``k``,
+    and the number of pairs it evaluated."""
+    steps = list(steps)
+    return [(s.old, s.new, s.count) for s in steps if s.count >= k], len(steps)
+
+
+def _stepped_chains(evaluator, start, stop, extend, semantics, k):
+    """U-Explore (union) or I-Explore (intersection) over the chains of
+    references ``start .. stop-1``, one per-step chain walk at a time:
+    a union chain stops at its first pair reaching ``k`` and reports
+    it, an intersection chain stops at its first failure and reports
+    the last passing pair."""
+    pairs, evaluations = [], 0
+    for reference in range(start, stop):
+        found = None
+        for step in evaluator.chain(reference, extend, semantics):
+            evaluations += 1
+            passed = step.count >= k
+            if passed:
+                found = (step.old, step.new, step.count)
+            if passed == (semantics is Semantics.UNION):
+                break
+        if found is not None:
+            pairs.append(found)
+    return pairs, evaluations
 
 
 class TestThresholdLadders:
@@ -180,11 +201,35 @@ class TestThresholdLadders:
         )
         _assert_ladders_agree(graph, COUNTER_CONFIGS["small_dblp"])
 
-    def test_pool_route_slices_start_mid_timeline(self, small_dblp, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
-        configs = [COUNTER_CONFIGS["small_dblp"][i] for i in (1, 3, 5)]
-        runs, pooled = _assert_ladders_agree(small_dblp, configs, parallelism=2)
-        assert pooled == runs > 0
+    def test_pool_route_slices_start_mid_timeline(self, small_dblp):
+        """Every batched walk over a reference slice that starts
+        mid-timeline reports what the per-step walks report over the
+        same slice: pairs, counts, order and evaluations."""
+        last = len(small_dblp.timeline) - 1
+        slices = [(1, last), (last // 2, last), (2, last - 1), (last - 1, last)]
+        assert all(0 < start < stop for start, stop in slices)
+        for config in [COUNTER_CONFIGS["small_dblp"][i] for i in (1, 3, 5)]:
+            counter = EventCounter(small_dblp, *config)
+            for event in EventType:
+                batched = ChainEvaluator(counter, event)
+                naive = ChainEvaluator(counter, event, incremental=False)
+                for k, (start, stop) in itertools.product(
+                    _ladder(small_dblp, event, config), slices
+                ):
+                    where = (config, event, k, start, stop)
+                    assert batched.walk_consecutive(start, stop, k) == _stepped(
+                        naive.consecutive(start, stop), k
+                    ), where
+                    for extend in ExtendSide:
+                        assert batched.walk_longest(extend, start, stop, k) == (
+                            _stepped(naive.longest(extend, start, stop), k)
+                        ), (where, extend)
+                        for semantics in Semantics:
+                            assert batched.walk_chains(
+                                start, stop, extend, semantics, k
+                            ) == _stepped_chains(
+                                naive, start, stop, extend, semantics, k
+                            ), (where, extend, semantics)
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_every_batched_pair_matches_its_count(self, request, dataset):

@@ -190,19 +190,6 @@ class TestMetrics:
             sys.setswitchinterval(interval)
         assert registry.counter("hits") == 160_000
 
-    def test_merge_adds_counters_and_histograms(self):
-        source = MetricsRegistry()
-        source.inc("c", 2)
-        source.gauge("g", 3.0)
-        source.observe("t", 0.5)
-        target = MetricsRegistry()
-        target.inc("c")
-        target.observe("t", 0.25)
-        target.merge(source.dump())
-        assert target.counter("c") == 3
-        assert target.gauge_value("g") == 3.0
-        assert target.timing("t").count == 2
-
 
 class TestExport:
     def test_trace_to_dict_none_passthrough(self):
@@ -445,10 +432,10 @@ def _covered(name, patterns):
 class TestCatalogue:
     def test_scan_finds_the_known_emitters(self):
         emitted = _emitted_names()
-        assert {"parallel.maps", "serving.query", "aggregate"} <= emitted
+        assert {"exploration.runs", "serving.query", "aggregate"} <= emitted
         assert {"serving.route.*", "profile.*", "*.hits"} <= emitted
         documented = _documented_names()
-        assert {"serving.route.cache", "parallel.chunk", "profile.*"} <= documented
+        assert {"serving.route.cache", "explore.exhaustive", "profile.*"} <= documented
 
     def test_every_emitted_name_is_documented(self):
         documented = _documented_names()

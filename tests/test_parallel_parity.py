@@ -1,24 +1,20 @@
-"""Parallel-vs-serial parity: pooled results must be bit-identical.
+"""Parity of the fast paths against their oracles on one tiny graph.
 
-The executor contract says results never depend on which executor ran.
-This suite enforces it at every fan-out site:
+The module and test names are those of the process-pool suite it
+replaced; every call now runs inline, and each test compares a fast
+path with the oracle it must match:
 
-* aggregation (both engines, DIST and ALL) — ``diff()`` against the
-  serial run and against the forced-general oracle engine;
-* evolution and session facades under a ``parallelism_scope``;
-* all eight Table-1 exploration cases plus the exhaustive oracle —
-  identical pairs *and* identical evaluation counts (the pruning must
-  not change when chains are distributed);
-* every registered fuzz law, replayed under the inline executor and
-  under a 2-worker scope with the implicit-parallelism work floor
-  removed, so even tiny operations actually cross the pool;
-* concurrent readers × an appender through one
-  :class:`~repro.serving.QueryServer`, each request fanning out over its
-  own per-call pool — every response replays bit-identically against
-  the version that served it.
-
-Pool startup is real (~10ms per fan-out), so cases here stay small;
-the scaling story lives in ``benchmarks/bench_parallel_speedup.py``.
+* aggregation — the kernel against Algorithm 2 (``aggregate_general``),
+  DIST and ALL, over the whole timeline and over sub-windows;
+* evolution against the appearance-set reference, and the session
+  facade against the direct calls it wraps;
+* all twelve Table-1 combinations at thresholds 2 and 4: the batched
+  walk reports the naive path's pairs *and* evaluation count, and the
+  exhaustive explorer's pairs;
+* every registered fuzz law, and a replay of the same seed;
+* concurrent readers x an appender through one
+  :class:`~repro.serving.QueryServer`: every response replays
+  bit-identically against the version that served it.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, aggregate_evolution
 from repro.core.operators import presence_signature
 from repro.core.updates import SnapshotUpdate
-from repro.testing.reference import aggregate_general
+from repro.testing.reference import aggregate_evolution_reference, aggregate_general
 from repro.datasets import paper_example
 from repro.exploration import (
     EntityKind,
@@ -42,23 +38,17 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
-from repro.obs import get_metrics
-from repro.parallel import parallelism_scope
 from repro.query import run_query
 from repro.serving import QueryServer
 from repro.session import GraphTempoSession
 from repro.streaming import StreamingStore
 from repro.testing import law_registry, run_fuzz
 
-WORKER_COUNTS = (2, 4)
+#: Window lengths (aggregation) and thresholds (exploration); the
+#: values keep the test ids of the worker counts they replaced.
+SIZES = (2, 4)
 
 ALL_CASES = tuple(itertools.product(EventType, Goal, ExtendSide))
-
-
-@pytest.fixture()
-def no_work_floor(monkeypatch):
-    """Remove the implicit-parallelism gate so tiny graphs still pool."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
 
 
 @pytest.fixture(scope="module")
@@ -66,110 +56,95 @@ def graph():
     return make_tiny_graph(seed=17 + TEST_SEED, n_times=7)
 
 
+def _assert_explore_parity(graph, event, goal, extend, k, **what):
+    """The batched walk equals the naive path (pairs and evaluations)
+    and reports the exhaustive oracle's pairs."""
+    batched = explore(graph, event, goal, extend, k, **what)
+    naive = explore(graph, event, goal, extend, k, incremental=False, **what)
+    assert batched.diff(naive) == ()
+    # Bit-identical means the pruning decisions too, not just the pairs.
+    assert batched.pairs == naive.pairs
+    assert batched.evaluations == naive.evaluations
+    oracle = exhaustive_explore(graph, event, goal, extend, k, **what)
+    assert oracle.diff(batched) == ()
+    assert batched.evaluations <= oracle.evaluations
+
+
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("n_points", SIZES)
 @pytest.mark.parametrize("distinct", [True, False])
 @pytest.mark.parametrize(
     "attributes",
     [["color"], ["level"], ["color", "level"]],
     ids=["static", "varying", "mixed"],
 )
-def test_aggregate_parity(graph, attributes, distinct, workers):
-    serial = aggregate(graph, attributes, distinct=distinct)
-    pooled = aggregate(
-        graph, attributes, distinct=distinct, parallelism=workers
-    )
-    assert serial.diff(pooled) == ()
-    assert pooled.diff(serial) == ()
+def test_aggregate_parity(graph, attributes, distinct, n_points):
+    window = graph.timeline.labels[:n_points]
+    kernel = aggregate(graph, attributes, distinct=distinct, times=window)
+    oracle = aggregate_general(graph, attributes, distinct=distinct, times=window)
+    assert kernel.diff(oracle) == ()
+    assert oracle.diff(kernel) == ()
 
 
 def test_parallel_aggregate_matches_forced_general_oracle(graph):
-    # The Algorithm-2 reference stays serial; the pooled kernel must
-    # still agree with it bit for bit.
     for distinct in (True, False):
         oracle = aggregate_general(graph, ["color"], distinct=distinct)
-        pooled = aggregate(graph, ["color"], distinct=distinct, parallelism=2)
-        assert oracle.diff(pooled) == ()
+        kernel = aggregate(graph, ["color"], distinct=distinct)
+        assert oracle.diff(kernel) == ()
 
 
 def test_aggregate_parity_on_sub_window(graph):
     window = graph.timeline.labels[1:5]
-    serial = aggregate(graph, ["level"], distinct=True, times=window)
-    pooled = aggregate(
-        graph, ["level"], distinct=True, times=window, parallelism=3
-    )
-    assert serial.diff(pooled) == ()
+    kernel = aggregate(graph, ["level"], distinct=True, times=window)
+    oracle = aggregate_general(graph, ["level"], distinct=True, times=window)
+    assert kernel.diff(oracle) == ()
 
 
-def test_evolution_parity_under_scope(graph, no_work_floor):
+def test_evolution_parity_under_scope(graph):
     labels = graph.timeline.labels
-    serial = aggregate_evolution(graph, labels[:3], labels[3:], ["color"])
-    with parallelism_scope(2):
-        pooled = aggregate_evolution(graph, labels[:3], labels[3:], ["color"])
-    assert serial.diff(pooled) == ()
+    kernel = aggregate_evolution(graph, labels[:3], labels[3:], ["color"])
+    oracle = aggregate_evolution_reference(graph, labels[:3], labels[3:], ["color"])
+    assert kernel.diff(oracle) == ()
 
 
-def test_session_parity_under_session_parallelism(no_work_floor):
+def test_session_parity_under_session_parallelism():
     graph = paper_example()
-    serial = GraphTempoSession(graph)
-    pooled = GraphTempoSession(graph, parallelism=2)
+    session = GraphTempoSession(graph)
     window = ("t0", "t1")
-    assert (
-        serial.aggregate(["gender"], window=window)
-        .diff(pooled.aggregate(["gender"], window=window))
-        == ()
-    )
-    a = serial.explore("growth", "minimal", "new", k=1)
-    b = pooled.explore("growth", "minimal", "new", k=1)
+    direct = aggregate(graph, ["gender"], times=session.window(window))
+    assert session.aggregate(["gender"], window=window).diff(direct) == ()
+    a = session.explore("growth", "minimal", "new", k=1)
+    b = explore(graph, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1)
     assert a.diff(b) == ()
     assert a.evaluations == b.evaluations
 
 
 # ----------------------------------------------------------------------
-# Exploration: all eight Table-1 cases + the exhaustive oracle
+# Exploration: all twelve Table-1 combinations + the exhaustive oracle
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("k", SIZES)
 @pytest.mark.parametrize(
     "event,goal,extend",
     ALL_CASES,
     ids=[f"{e}-{g}-{x}" for e, g, x in ALL_CASES],
 )
-def test_explore_parity_every_case(graph, event, goal, extend, workers):
-    serial = explore(graph, event, goal, extend, 1)
-    pooled = explore(graph, event, goal, extend, 1, parallelism=workers)
-    assert serial.diff(pooled) == ()
-    # Bit-identical means the pruning decisions too, not just the pairs.
-    assert serial.pairs == pooled.pairs
-    assert serial.evaluations == pooled.evaluations
+def test_explore_parity_every_case(graph, event, goal, extend, k):
+    _assert_explore_parity(graph, event, goal, extend, k)
 
 
 @pytest.mark.parametrize("incremental", [True, False])
 def test_explore_parity_incremental_and_naive(graph, incremental):
-    serial = explore(
-        graph,
-        EventType.STABILITY,
-        Goal.MAXIMAL,
-        ExtendSide.NEW,
-        2,
-        incremental=incremental,
-    )
-    pooled = explore(
-        graph,
-        EventType.STABILITY,
-        Goal.MAXIMAL,
-        ExtendSide.NEW,
-        2,
-        incremental=incremental,
-        parallelism=2,
-    )
-    assert serial.diff(pooled) == ()
-    assert serial.evaluations == pooled.evaluations
+    case = (EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 2)
+    pruned = explore(graph, *case, incremental=incremental)
+    oracle = exhaustive_explore(graph, *case, incremental=incremental)
+    assert pruned.diff(oracle) == ()
+    assert pruned.evaluations <= oracle.evaluations
 
 
 @pytest.mark.parametrize(
@@ -181,14 +156,14 @@ def test_explore_parity_incremental_and_naive(graph, incremental):
     ],
 )
 def test_exhaustive_explore_parity(graph, event, goal, extend):
-    serial = exhaustive_explore(graph, event, goal, extend, 1)
-    pooled = exhaustive_explore(graph, event, goal, extend, 1, parallelism=2)
-    assert serial.diff(pooled) == ()
-    assert serial.evaluations == pooled.evaluations
+    batched = exhaustive_explore(graph, event, goal, extend, 1)
+    naive = exhaustive_explore(graph, event, goal, extend, 1, incremental=False)
+    assert batched.diff(naive) == ()
+    assert batched.evaluations == naive.evaluations
 
 
 def test_explore_parity_with_attribute_key(graph):
-    serial = explore(
+    _assert_explore_parity(
         graph,
         EventType.GROWTH,
         Goal.MINIMAL,
@@ -198,22 +173,10 @@ def test_explore_parity_with_attribute_key(graph):
         attributes=["color"],
         key=("red",),
     )
-    pooled = explore(
-        graph,
-        EventType.GROWTH,
-        Goal.MINIMAL,
-        ExtendSide.NEW,
-        1,
-        entity=EntityKind.NODES,
-        attributes=["color"],
-        key=("red",),
-        parallelism=2,
-    )
-    assert serial.diff(pooled) == ()
 
 
 # ----------------------------------------------------------------------
-# The full law registry under both executors
+# The full law registry
 # ----------------------------------------------------------------------
 
 
@@ -228,28 +191,26 @@ def test_all_laws_hold_under_inline_executor(test_seed):
     )
 
 
-def test_all_laws_hold_under_parallel_executor(test_seed, no_work_floor):
-    with parallelism_scope(2):
-        report = run_fuzz(seed=test_seed, cases=3, shrink=False)
+def test_all_laws_hold_under_parallel_executor(test_seed):
+    report = run_fuzz(seed=test_seed, cases=3, shrink=False)
     assert report.ok, report.summary() + "".join(
         f"\n{f}" for f in report.failures
     )
 
 
-def test_fuzz_replay_identical_under_both_executors(test_seed, no_work_floor):
-    serial = run_fuzz(seed=test_seed, cases=2, shrink=False)
-    with parallelism_scope(2):
-        pooled = run_fuzz(seed=test_seed, cases=2, shrink=False)
-    assert serial.ok == pooled.ok
-    assert serial.checks == pooled.checks
-    assert serial.laws == pooled.laws
-    assert [str(f) for f in serial.failures] == [
-        str(f) for f in pooled.failures
+def test_fuzz_replay_identical_under_both_executors(test_seed):
+    first = run_fuzz(seed=test_seed, cases=2, shrink=False)
+    replay = run_fuzz(seed=test_seed, cases=2, shrink=False)
+    assert first.ok == replay.ok
+    assert first.checks == replay.checks
+    assert first.laws == replay.laws
+    assert [str(f) for f in first.failures] == [
+        str(f) for f in replay.failures
     ]
 
 
 # ----------------------------------------------------------------------
-# Concurrent readers × appender, every request on its own pool
+# Concurrent readers × appender
 # ----------------------------------------------------------------------
 
 QUERIES = (
@@ -292,19 +253,13 @@ def _assert_matches(text, served, graph):
         )
 
 
-def test_concurrent_readers_and_appender_on_per_call_pools(monkeypatch):
-    """Reader threads serve while an appender publishes versions, and
-    every fan-out inside a request forks its own 2-worker pool.  The
-    pool default comes from the environment, not a
-    ``parallelism_scope``: scopes are thread-local and the readers run
-    on their own threads.  Every served result must replay
-    bit-identically against the version that served it."""
-    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
+def test_concurrent_readers_and_appender_on_per_call_pools():
+    """Reader threads serve while an appender publishes versions.
+    Every served result must replay bit-identically against the
+    version that served it."""
     store = StreamingStore(paper_example())
-    # cache_capacity=0: every request truly executes on a pool.
+    # cache_capacity=0: every request truly executes.
     server = QueryServer(store, cache_capacity=0)
-    maps_before = get_metrics().counter("parallel.maps")
     n_readers = 4
     rounds_total = 5
     updates = _updates(rounds_total - 1)
@@ -347,8 +302,6 @@ def test_concurrent_readers_and_appender_on_per_call_pools(monkeypatch):
     assert not any(thread.is_alive() for thread in threads), "a thread hung"
     assert not failures, failures[0]
     assert server.version == len(updates)
-    # The requests really crossed process pools.
-    assert get_metrics().counter("parallel.maps") > maps_before
 
     served_versions = set()
     for bucket in records:

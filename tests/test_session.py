@@ -114,6 +114,13 @@ class TestZoomAndReports:
         zoomed = session.zoom_out("intersection")
         assert "u3" not in zoomed.graph.nodes
 
+    def test_zoom_out_keeps_the_storage_pin(self, paper_graph):
+        hierarchy = TimeHierarchy({"early": ["t0", "t1"], "late": ["t2"]})
+        pinned = GraphTempoSession(paper_graph, hierarchy, storage="columnar")
+        zoomed = pinned.zoom_out()
+        assert zoomed.storage == "columnar"
+        assert zoomed.graph.storage_name == "columnar"
+
     def test_zoom_without_hierarchy(self, paper_graph):
         with pytest.raises(ValueError):
             GraphTempoSession(paper_graph).zoom_out()

@@ -10,10 +10,10 @@ cover the full persistence contract:
 * corrupt or version-skewed layouts fail from the GT003 taxonomy
   (:class:`~repro.errors.StorageError`), never a bare ``OSError``;
 * a memmapped backend pickles as its *path* and reopens on the other
-  side, so fork- and spawn-started workers share pages instead of
+  side, so fork- and spawn-started processes share pages instead of
   copying arrays (GT007 fork-safety);
-* ``repro.parallel`` parity: aggregation and exploration over a
-  memmapped graph under ``workers=2`` match the serial run bit for bit.
+* aggregation and exploration over a memmapped graph match the
+  in-memory graph bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, presence_signature
 from repro.errors import StorageError
 from repro.exploration import EventType, ExtendSide, Goal, explore
-from repro.parallel import parallelism_scope
 from repro.storage import ColumnarBackend, frames_of
 
 
@@ -139,20 +138,14 @@ def test_in_memory_backend_pickles_by_value(graph):
     )
 
 
-def test_worker_parity_over_a_memmapped_graph(graph, saved, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_WORK", "0")
+def test_worker_parity_over_a_memmapped_graph(graph, saved):
     _, target = saved
     mapped = ColumnarBackend.open(target).to_graph()
     for distinct in (True, False):
-        serial = aggregate(graph, ["color", "level"], distinct=distinct)
-        pooled = aggregate(
-            mapped, ["color", "level"], distinct=distinct, parallelism=2
-        )
-        assert serial.diff(pooled) == ()
+        in_memory = aggregate(graph, ["color", "level"], distinct=distinct)
+        from_disk = aggregate(mapped, ["color", "level"], distinct=distinct)
+        assert in_memory.diff(from_disk) == ()
     baseline = explore(graph, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1)
-    with parallelism_scope(2):
-        pooled_explore = explore(
-            mapped, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1
-        )
-    assert baseline.diff(pooled_explore) == ()
-    assert baseline.evaluations == pooled_explore.evaluations
+    mapped_explore = explore(mapped, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1)
+    assert baseline.diff(mapped_explore) == ()
+    assert baseline.evaluations == mapped_explore.evaluations
