@@ -58,6 +58,7 @@ class TemporalGraph:
         "edge_attrs",
         "_storage_name",
         "_storage",
+        "_endpoints",
     )
 
     def __init__(
@@ -88,6 +89,9 @@ class TemporalGraph:
         else:
             self._storage_name = storage.name
             self._storage = storage
+        #: Endpoint rows carried from a parent version by
+        #: ``append_snapshot``; the backend adopts them when it is built.
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
         self._check_schema()
         if validate:
             self._check_integrity()
@@ -178,6 +182,14 @@ class TemporalGraph:
             self._storage = get_backend(name).from_graph(self)
             self._storage_name = name
         return self._storage
+
+    def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The endpoint rows this graph already holds -- its backend's,
+        or those carried from its parent version -- without resolving
+        any; ``None`` when neither exists."""
+        if self._storage is None:
+            return self._endpoints
+        return self._storage._resolved_endpoint_rows()
 
     def with_storage(
         self, storage: "GraphStorageBackend | str"

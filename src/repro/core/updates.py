@@ -12,13 +12,14 @@ grows.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from ..frames import LabeledFrame
+from ..storage.base import resolve_endpoint_rows
 from .graph import EdgeId, NodeId, TemporalGraph
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
@@ -81,17 +82,20 @@ class SnapshotUpdate:
 
 
 def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGraph:
-    """A new graph whose timeline ends with the update's time point."""
+    """A new graph whose timeline ends with the update's time point.
+
+    The new version extends what its parent holds instead of re-deriving
+    it from labels: each axis gets one row index (a copy of the parent's,
+    grown by the new labels) shared by every frame of the new graph, and
+    endpoint rows the parent already holds are carried over with the new
+    edges' rows appended.  The parent's frames, indexes and arrays are
+    never mutated.
+    """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
     new_times = graph.timeline.labels + (update.time,)
 
-    known_nodes = set(graph.node_presence.row_labels)
-    incoming = dict(update.nodes)
-    new_node_ids = [n for n in incoming if n not in known_nodes]
-    all_nodes = graph.node_presence.row_labels + tuple(new_node_ids)
-    node_pos = {n: i for i, n in enumerate(all_nodes)}
-
+    incoming = update.nodes
     varying_names = graph.varying_attribute_names
     for node, values in incoming.items():
         unknown = set(values) - set(varying_names)
@@ -122,60 +126,80 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
                 f"unknown edge attributes for {edge!r}: {sorted(unknown)}"
             )
 
-    edges = list(update.edges)
-    for u, v in edges:
-        if u not in incoming or v not in incoming:
+    # Every edge is a (u, v) pair of snapshot nodes, so the rows carried
+    # for new edges below always resolve.
+    edges = update.edges
+    for edge in edges:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            raise ValidationError(f"update edges must be (u, v) tuples, got {edge!r}")
+        if edge[0] not in incoming or edge[1] not in incoming:
             raise ValidationError(
-                f"edge {(u, v)!r} references a node absent from the snapshot"
+                f"edge {edge!r} references a node absent from the snapshot"
             )
 
+    n_nodes, n_edges = graph.n_nodes, graph.n_edges
+    time_index = {t: i for i, t in enumerate(new_times)}
+
+    node_index = graph.node_presence._rows_copy()
+    new_node_ids = [n for n in incoming if n not in node_index]
+    all_nodes = graph.nodes + tuple(new_node_ids)
+    node_index.update(zip(new_node_ids, range(n_nodes, len(all_nodes))))
+
+    def node_frame(
+        cols: tuple[Hashable, ...],
+        values: np.ndarray,
+        col_index: dict[Hashable, int] | None,
+    ) -> LabeledFrame:
+        return LabeledFrame._adopt(all_nodes, cols, values, node_index, col_index)
+
     node_values = np.zeros((len(all_nodes), len(new_times)), dtype=np.uint8)
-    node_values[: graph.n_nodes, :-1] = graph.node_presence.values
-    for node in incoming:
-        node_values[node_pos[node], -1] = 1
-    node_presence = LabeledFrame(all_nodes, new_times, node_values)
+    node_values[:n_nodes, :-1] = graph.node_presence.values
+    node_values[_rows_of(node_index, incoming), -1] = 1
+    node_presence = node_frame(new_times, node_values, time_index)
 
     static_names = graph.static_attrs.col_labels
     static_values = np.empty((len(all_nodes), len(static_names)), dtype=object)
-    static_values[: graph.n_nodes] = graph.static_attrs.values
+    static_values[:n_nodes] = graph.static_attrs.values
     for i, node in enumerate(new_node_ids):
-        provided = dict(update.static.get(node, {}))
+        provided = update.static.get(node, {})
         for col, name in enumerate(static_names):
-            static_values[graph.n_nodes + i, col] = provided.get(str(name))
-    static_attrs = LabeledFrame(all_nodes, static_names, static_values)
+            static_values[n_nodes + i, col] = provided.get(str(name))
+    static_attrs = node_frame(static_names, static_values, None)
 
     varying_attrs: dict[str, LabeledFrame] = {}
     for name in varying_names:
         values = np.full((len(all_nodes), len(new_times)), None, dtype=object)
-        values[: graph.n_nodes, :-1] = graph.varying_attrs[name].values
+        values[:n_nodes, :-1] = graph.varying_attrs[name].values
         for node, node_values_map in incoming.items():
             if name in node_values_map:
-                values[node_pos[node], -1] = node_values_map[name]
-        varying_attrs[name] = LabeledFrame(all_nodes, new_times, values)
+                values[node_index[node], -1] = node_values_map[name]
+        varying_attrs[name] = node_frame(new_times, values, time_index)
 
-    known_edges = graph.edge_presence.row_labels
-    known_edge_set = set(known_edges)
-    new_edge_ids = [e for e in dict.fromkeys(edges) if e not in known_edge_set]
-    all_edges = known_edges + tuple(new_edge_ids)
-    edge_pos = {e: i for i, e in enumerate(all_edges)}
+    edge_index = graph.edge_presence._rows_copy()
+    new_edge_ids = [e for e in dict.fromkeys(edges) if e not in edge_index]
+    all_edges = graph.edges + tuple(new_edge_ids)
+    edge_index.update(zip(new_edge_ids, range(n_edges, len(all_edges))))
     edge_values = np.zeros((len(all_edges), len(new_times)), dtype=np.uint8)
-    edge_values[: graph.n_edges, :-1] = graph.edge_presence.values
-    for edge in edges:
-        edge_values[edge_pos[edge], -1] = 1
-    edge_presence = LabeledFrame(all_edges, new_times, edge_values)
+    edge_values[:n_edges, :-1] = graph.edge_presence.values
+    edge_values[_rows_of(edge_index, edges), -1] = 1
+    edge_presence = LabeledFrame._adopt(
+        all_edges, new_times, edge_values, edge_index, time_index
+    )
 
     edge_attr_frame: LabeledFrame | None = None
     if graph.edge_attrs is not None:
         names = graph.edge_attrs.col_labels
         attr_values = np.empty((len(all_edges), len(names)), dtype=object)
-        attr_values[: graph.n_edges] = graph.edge_attrs.values
+        attr_values[:n_edges] = graph.edge_attrs.values
         for i, edge in enumerate(new_edge_ids):
-            provided = dict(update.edge_attrs.get(edge, {}))
+            provided = update.edge_attrs.get(edge, {})
             for col, name in enumerate(names):
-                attr_values[graph.n_edges + i, col] = provided.get(str(name))
-        edge_attr_frame = LabeledFrame(all_edges, names, attr_values)
+                attr_values[n_edges + i, col] = provided.get(str(name))
+        edge_attr_frame = LabeledFrame._adopt(
+            all_edges, names, attr_values, edge_index
+        )
 
-    return TemporalGraph(
+    appended = TemporalGraph(
         timeline=Timeline(new_times),
         node_presence=node_presence,
         edge_presence=edge_presence,
@@ -189,6 +213,45 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         # immutable and earlier versions keep their own backends.
         storage=graph.storage_name,
     )
+    parent_rows = graph._resolved_endpoint_rows()
+    if parent_rows is not None:
+        appended._endpoints = _carried_endpoint_rows(
+            parent_rows, all_nodes, node_index, all_edges, new_edge_ids
+        )
+    return appended
+
+
+def _rows_of(index: Mapping[Hashable, int], labels: Iterable[Hashable]) -> np.ndarray:
+    """The rows of ``labels`` (all in ``index``), as an index array."""
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp)
+
+
+def _carried_endpoint_rows(
+    parent_rows: tuple[np.ndarray, np.ndarray],
+    nodes: tuple[NodeId, ...],
+    node_index: Mapping[Hashable, int],
+    edges: tuple[EdgeId, ...],
+    new_edges: Sequence[EdgeId],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The parent's endpoint rows followed by the new edges' rows.
+
+    Both endpoints of a new edge are snapshot nodes, so their rows
+    always resolve.  A parent row that is ``-1`` is resolved again
+    against the grown node axis: its missing node may have just arrived.
+    """
+    new = np.array(
+        [(node_index[u], node_index[v]) for u, v in new_edges], dtype=np.int32
+    ).reshape(len(new_edges), 2)
+    src = np.concatenate([parent_rows[0], new[:, 0]])
+    dst = np.concatenate([parent_rows[1], new[:, 1]])
+    dangling = np.flatnonzero((src < 0) | (dst < 0))
+    if dangling.size:
+        src[dangling], dst[dangling] = resolve_endpoint_rows(
+            nodes, [edges[row] for row in dangling.tolist()]
+        )
+    src.flags.writeable = False
+    dst.flags.writeable = False
+    return src, dst
 
 
 def snapshot_at(graph: TemporalGraph, time: Hashable) -> SnapshotUpdate:

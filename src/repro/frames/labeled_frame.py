@@ -89,6 +89,31 @@ class LabeledFrame:
         )
         self._col_index = _build_index(self._col_labels, "column")
 
+    @classmethod
+    def _adopt(
+        cls,
+        row_labels: tuple[Hashable, ...],
+        col_labels: tuple[Hashable, ...],
+        values: np.ndarray,
+        row_index: dict[Hashable, int] | None = None,
+        col_index: dict[Hashable, int] | None = None,
+    ) -> "LabeledFrame":
+        """A frame that owns ``values`` and the given label indexes as is.
+
+        No copy and no shape or duplicate-label check: the caller hands
+        over a freshly built array and indexes that match the labels and
+        that nothing mutates, so frames may share them.  A ``None`` row
+        index is built on the first label lookup; a ``None`` column
+        index is built (and validated) now.
+        """
+        frame = cls.__new__(cls)
+        frame._row_labels, frame._col_labels = row_labels, col_labels
+        frame._values, frame._row_index = values, row_index
+        frame._col_index = (
+            _build_index(col_labels, "column") if col_index is None else col_index
+        )
+        return frame
+
     def _rows(self) -> dict[Hashable, int]:
         """Row label -> position (built lazily after :meth:`take`)."""
         if self._row_index is None:
@@ -96,6 +121,13 @@ class LabeledFrame:
                 label: row for row, label in enumerate(self._row_labels)
             }
         return self._row_index
+
+    def _rows_copy(self) -> dict[Hashable, int]:
+        """A new row label -> position dict the caller may grow; a frame
+        whose index was never built does not build one for this."""
+        if self._row_index is None:
+            return {label: row for row, label in enumerate(self._row_labels)}
+        return dict(self._row_index)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -261,8 +293,10 @@ class LabeledFrame:
         """
         positions = np.asarray(rows, dtype=np.intp)
         labels = tuple(map(self._row_labels.__getitem__, positions.tolist()))
+        col_index: dict[Hashable, int] | None = None
         if cols is None:
             col_labels, values = self._col_labels, self._values[positions]
+            col_index = self._col_index
         else:
             col_labels = tuple(cols)
             values = self._values[
@@ -273,11 +307,7 @@ class LabeledFrame:
             return LabeledFrame(labels, col_labels, values)
         # Increasing positions keep the labels unique, so the row index
         # can wait for the first label lookup (most takes never see one).
-        frame = LabeledFrame.__new__(LabeledFrame)
-        frame._row_labels, frame._col_labels = labels, col_labels
-        frame._values, frame._row_index = values, None
-        frame._col_index = _build_index(col_labels, "column")
-        return frame
+        return LabeledFrame._adopt(labels, col_labels, values, None, col_index)
 
     def select_rows_present(self, rows: Iterable[Hashable]) -> "LabeledFrame":
         """Like :meth:`select_rows` but silently skips unknown labels.

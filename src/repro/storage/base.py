@@ -115,8 +115,22 @@ class GraphStorageBackend(ABC):
 
     @classmethod
     def from_graph(cls, graph: "TemporalGraph") -> "GraphStorageBackend":
-        """Build from a :class:`~repro.core.graph.TemporalGraph`."""
-        return cls.from_frames(frames_of(graph))
+        """Build from a :class:`~repro.core.graph.TemporalGraph`,
+        adopting the endpoint rows it carries from its parent version
+        (:func:`~repro.core.append_snapshot`), if any."""
+        return cls._from_frames(frames_of(graph), graph._endpoints)
+
+    @classmethod
+    def _from_frames(
+        cls,
+        frames: StorageFrames,
+        endpoints: tuple[np.ndarray, np.ndarray] | None,
+    ) -> "GraphStorageBackend":
+        """:meth:`from_frames`, given the frames' :meth:`endpoint_rows`
+        when they are already resolved (``None`` when not).  Backends
+        that hold the rows override this to adopt them instead of
+        resolving them again."""
+        return cls.from_frames(frames)
 
     @abstractmethod
     def to_frames(self) -> StorageFrames:
@@ -228,6 +242,11 @@ class GraphStorageBackend(ABC):
         ``(u, v)`` pair) is ``-1`` -- resolving never raises, callers
         decide the severity.
         """
+
+    def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`endpoint_rows` if this backend holds them already, else
+        ``None``; never resolves."""
+        return None
 
     def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
         """Yield ``(edge_label, source_row, target_row)`` per edge, in

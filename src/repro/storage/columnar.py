@@ -205,12 +205,24 @@ class ColumnarBackend(GraphStorageBackend):
 
     @classmethod
     def from_frames(cls, frames: StorageFrames) -> "ColumnarBackend":
+        return cls._from_frames(frames, None)
+
+    @classmethod
+    def _from_frames(
+        cls,
+        frames: StorageFrames,
+        endpoints: tuple[np.ndarray, np.ndarray] | None,
+    ) -> "ColumnarBackend":
         node_bool = frames.node_presence.values.astype(bool)
         edge_bool = frames.edge_presence.values.astype(bool)
         node_labels = frames.node_presence.row_labels
         edge_labels = frames.edge_presence.row_labels
 
-        src, dst = resolve_endpoint_rows(node_labels, edge_labels)
+        src, dst = (
+            resolve_endpoint_rows(node_labels, edge_labels)
+            if endpoints is None
+            else endpoints
+        )
 
         static_names = tuple(str(c) for c in frames.static_attrs.col_labels)
         static_values = frames.static_attrs.values
@@ -466,6 +478,9 @@ class ColumnarBackend(GraphStorageBackend):
 
     def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self._src_rows), np.asarray(self._dst_rows)
+
+    def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self.endpoint_rows()
 
     # ------------------------------------------------------------------
     # Accounting

@@ -33,8 +33,9 @@ class DenseBackend(GraphStorageBackend):
 
     def __init__(self, frames: StorageFrames) -> None:
         self._frames = frames
-        #: ``endpoint_rows`` arrays, resolved on first use: most graphs
-        #: an operator derives are only masked, never aggregated.
+        #: ``endpoint_rows`` arrays, carried from a parent version or
+        #: resolved on first use: most graphs an operator derives are
+        #: only masked, never aggregated.
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -44,6 +45,16 @@ class DenseBackend(GraphStorageBackend):
     @classmethod
     def from_frames(cls, frames: StorageFrames) -> "DenseBackend":
         return cls(frames)
+
+    @classmethod
+    def _from_frames(
+        cls,
+        frames: StorageFrames,
+        endpoints: tuple[np.ndarray, np.ndarray] | None,
+    ) -> "DenseBackend":
+        backend = cls(frames)
+        backend._endpoints = endpoints
+        return backend
 
     def to_frames(self) -> StorageFrames:
         frames = self._frames
@@ -141,6 +152,9 @@ class DenseBackend(GraphStorageBackend):
             self._endpoints = resolve_endpoint_rows(
                 self.node_labels, self.edge_labels
             )
+        return self._endpoints
+
+    def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._endpoints
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ from ..errors import AggregationError, ConfigurationError, ExplorationError
 from ..exploration.events import ChainEvaluator, EntityKind, EventCounter, EventType
 from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..materialize.streaming import AggregateTotalsView
+from ..storage.base import resolve_endpoint_rows
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
 from .generators import graph_to_maps, random_time_sets
 from .reference import aggregate_reference
@@ -703,11 +704,50 @@ def _lint_deterministic_readonly(
 # ----------------------------------------------------------------------
 
 
+def _label_frames(graph: TemporalGraph) -> list[Any]:
+    """Every labeled frame of a graph."""
+    frames = [graph.node_presence, graph.static_attrs, graph.edge_presence]
+    frames += graph.varying_attrs.values()
+    return frames if graph.edge_attrs is None else [*frames, graph.edge_attrs]
+
+
+def _carried_state_problem(
+    parent: TemporalGraph, child: TemporalGraph
+) -> str | None:
+    """How the state ``append_snapshot`` carried into ``child`` differs
+    from the state rebuilt from its labels, or how the append changed
+    ``parent``; ``None`` when it did neither."""
+    rows = child.storage.endpoint_rows()
+    expected = resolve_endpoint_rows(child.nodes, child.edges)
+    for got, want in zip(rows, expected):
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            return (
+                f"endpoint rows at {child.timeline.labels[-1]!r} diverge from "
+                f"rows resolved from labels: {got.tolist()} != {want.tolist()}"
+            )
+    for frame in _label_frames(child):
+        for position, label in enumerate(frame.row_labels):
+            if frame.row_position(label) != position:
+                return f"row index maps {label!r} to {frame.row_position(label)}"
+    parent_labels = set(parent.nodes) | set(parent.edges)
+    arrived = [
+        label
+        for label in (*child.nodes, *child.edges)
+        if label not in parent_labels
+    ]
+    for frame in _label_frames(parent):
+        leaked = [label for label in arrived if frame.has_row(label)]
+        if leaked:
+            return f"the parent version's row index gained {leaked[0]!r}"
+    return None
+
+
 @register_law(
     "streaming-replay-identity",
     "replaying split_history through a StreamingStore rebuilds the graph "
-    "bit-exactly, publishes one monotonic version per append, and keeps "
-    "delta-maintained totals equal to the direct aggregate",
+    "bit-exactly, publishes one monotonic version per append, keeps "
+    "delta-maintained totals equal to the direct aggregate, and carries "
+    "endpoint rows and row indexes equal to those rebuilt from labels",
     hostile_safe=False,
 )
 def _streaming_replay_identity(
@@ -720,7 +760,11 @@ def _streaming_replay_identity(
     fired: list[int] = []
     store.on_append(lambda version: fired.append(version.version))
     for update in updates:
+        parent = store.graph
         store.append_snapshot(update)
+        problem = _carried_state_problem(parent, store.graph)
+        if problem:
+            return problem
     if graph_to_maps(store.graph) != graph_to_maps(graph):
         return "replayed graph diverges from the original"
     if store.version != len(updates) or fired != list(range(1, len(updates) + 1)):
@@ -734,12 +778,14 @@ def _streaming_replay_identity(
         return f"delta-maintained union total diverges: {problems[0]}"
     # The same frozen updates must replay a second time verbatim — the
     # regression the SnapshotUpdate freeze exists for.
+    # No reads between these appends: rows carry from version to version
+    # without any backend being built.
     second = StreamingStore(initial)
     for update in updates:
         second.append_snapshot(update)
     if graph_to_maps(second.graph) != graph_to_maps(store.graph):
         return "second replay of the same updates diverges (updates not frozen?)"
-    return None
+    return _carried_state_problem(second.at_version(0).graph, second.graph)
 
 
 @register_law(

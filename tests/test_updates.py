@@ -1,18 +1,30 @@
 """Tests for appending snapshots and incremental materialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core import (
     SnapshotUpdate,
+    TemporalGraph,
+    Timeline,
     aggregate,
     append_snapshot,
     snapshot_at,
     split_history,
     union,
 )
-from repro.errors import UnknownLabelError, ValidationError
+from repro.errors import (
+    AggregationError,
+    LabelError,
+    UnknownLabelError,
+    ValidationError,
+)
+from repro.frames import LabeledFrame
 from repro.materialize import IncrementalStore
+from repro.storage import backend_names
+from repro.storage.base import resolve_endpoint_rows
+from repro.streaming import StreamingStore
 from repro.testing import (
     GraphSpec,
     assert_same_graph,
@@ -323,3 +335,125 @@ class TestReplayRoundTripProperties:
         except ValidationError:
             return
         assert_same_graph(rebuilt, graph)
+
+
+class TestMalformedUpdateEdges:
+    @pytest.mark.parametrize(
+        "edge", [("u5", "u2", "u9"), 5, "ab"], ids=["triple", "int", "string"]
+    )
+    def test_rejected_before_anything_is_published(self, paper_graph, edge):
+        """Regression: edges were unpacked with ``for u, v in edges``, so a
+        triple or an int raised a bare ValueError/TypeError, and the
+        string ``"ab"`` was published as edge ``'ab'`` that every later
+        aggregate then rejected."""
+        update = SnapshotUpdate(
+            time="t3",
+            nodes={"u2": {}, "u5": {}, "u9": {}, "a": {}, "b": {}},
+            edges=[edge],
+        )
+        with pytest.raises(ValidationError, match=r"\(u, v\) tuples"):
+            append_snapshot(paper_graph, update)
+        store = StreamingStore(paper_graph)
+        with pytest.raises(ValidationError):
+            store.append_snapshot(update)
+        assert store.version == 0
+        assert store.graph is paper_graph
+
+
+def _dangling_graph(storage):
+    """Nodes ``a`` (red) and ``b`` (blue) at ``t0``, with edges
+    ``('a', 'b')`` and ``('a', 'zz')``: ``zz`` is missing from V."""
+    times = ("t0",)
+    nodes = ("a", "b")
+    edges = (("a", "b"), ("a", "zz"))
+    return TemporalGraph(
+        timeline=Timeline(times),
+        node_presence=LabeledFrame(nodes, times, [[1], [1]], dtype=np.uint8),
+        edge_presence=LabeledFrame(edges, times, [[1], [1]], dtype=np.uint8),
+        static_attrs=LabeledFrame(
+            nodes, ("color",), [["red"], ["blue"]], dtype=object
+        ),
+        varying_attrs={},
+        validate=False,
+        storage=storage,
+    )
+
+
+def _label_frames(graph):
+    frames = [graph.node_presence, graph.static_attrs, graph.edge_presence]
+    return frames + list(graph.varying_attrs.values())
+
+
+class TestCarriedState:
+    """``append_snapshot`` carries row indexes and endpoint rows from the
+    parent version; the result must equal state rebuilt from labels."""
+
+    @pytest.mark.parametrize("storage", backend_names())
+    def test_dangling_endpoint_that_arrives_later_resolves(self, storage):
+        parent = _dangling_graph(storage)
+        with pytest.raises(AggregationError, match="zz"):
+            aggregate(parent, ["color"])
+        child = append_snapshot(
+            parent,
+            SnapshotUpdate(
+                time="t1",
+                nodes={"a": {}, "zz": {}},
+                static={"zz": {"color": "green"}},
+            ),
+        )
+        src, dst = child.storage.endpoint_rows()
+        assert (src.tolist(), dst.tolist()) == ([0, 0], [1, 2])
+        result = aggregate(child, ["color"], times=["t0"])
+        assert dict(result.edge_weights) == {(("red",), ("blue",)): 1}
+
+    @pytest.mark.parametrize("storage", backend_names())
+    def test_parent_version_is_isolated(self, paper_graph, storage):
+        v1 = append_snapshot(paper_graph.with_storage(storage), make_update())
+        aggregate(v1, ["gender"])
+        src, dst = v1.storage.endpoint_rows()
+        before = (src.copy(), dst.copy())
+        v2 = append_snapshot(
+            v1,
+            SnapshotUpdate(
+                time="t4",
+                nodes={"u2": {}, "u7": {}},
+                static={"u7": {"gender": "m"}},
+                edges=[("u7", "u2")],
+            ),
+        )
+        aggregate(v2, ["gender"])
+        node_frames = [v1.node_presence, v1.static_attrs, *v1.varying_attrs.values()]
+        for frame in node_frames:
+            with pytest.raises(LabelError):
+                frame.row_position("u7")
+        with pytest.raises(LabelError):
+            v1.edge_presence.row_position(("u7", "u2"))
+        assert v2.node_presence.row_position("u7") == v1.n_nodes
+        rows = v1.storage.endpoint_rows()
+        for got, was in zip(rows, before):
+            np.testing.assert_array_equal(got, was)
+            assert not got.flags.writeable
+        for rows in v2.storage.endpoint_rows():
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 7
+
+    @pytest.mark.parametrize("storage", backend_names())
+    def test_unread_parent_yields_the_same_rows(self, paper_graph, storage):
+        read = paper_graph.with_storage(storage)
+        aggregate(read, ["gender"])
+        unread = paper_graph.with_storage(storage)
+        update = make_update()
+        carried = append_snapshot(read, update)
+        resolved = append_snapshot(unread, update)
+        assert carried._resolved_endpoint_rows() is not None
+        assert resolved._resolved_endpoint_rows() is None
+        expected = resolve_endpoint_rows(carried.nodes, carried.edges)
+        for graph in (carried, resolved):
+            for got, want in zip(graph.storage.endpoint_rows(), expected):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            for frame in _label_frames(graph):
+                assert [frame.row_position(n) for n in frame.row_labels] == list(
+                    range(frame.n_rows)
+                )
