@@ -1,24 +1,26 @@
 """The factorized numpy kernel behind aggregation and evolution.
 
 :func:`repro.core.aggregate` and :func:`repro.core.aggregate_evolution`
-run here.  For one window the kernel finds the present node cells with
-``np.nonzero``, factorizes attribute values at those cells only into one
-dense *tuple code* per cell, counts DIST over distinct ``(row, code)``
-keys and ALL with ``np.bincount``, resolves edges through the storage
-backend's int32 ``endpoint_rows``, and decodes only the distinct output
-keys.  The paper's literal Algorithm 2 is the oracle it is diffed
-against (:mod:`repro.testing.reference`).
+run here.  For one window the kernel slices the present cells out of
+the graph's time-major cell index (:mod:`repro.core.cells`), combines
+their integer attribute codes into one dense *tuple code* per cell,
+counts DIST over distinct ``(row, code)`` keys and ALL with
+``np.bincount``, resolves edges through the storage backend's int32
+``endpoint_rows``, and decodes only the distinct output keys.  The
+paper's literal Algorithm 2 is the oracle it is diffed against
+(:mod:`repro.testing.reference`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..errors import AggregationError, ValidationError
+from .cells import CellIndex, window_events
 from .graph import TemporalGraph
 
 __all__ = [
@@ -33,6 +35,10 @@ __all__ = [
 
 #: Mixed-radix tuple keys are re-densified before they could overflow.
 _KEY_LIMIT = 2**62
+
+#: A key space at most this many times the key count is made dense with
+#: ``np.bincount``; a wider one with ``np.unique``.
+_BINCOUNT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,46 @@ class WindowCells:
     grid: np.ndarray
 
 
-def _factorize(values: Iterable[Any]) -> tuple[np.ndarray, list[Any]]:
-    """Dense codes in first-seen order, and the value of each code."""
-    items = list(values)
-    index = {value: code for code, value in enumerate(dict.fromkeys(items))}
-    codes = np.fromiter(map(index.__getitem__, items), np.int64, len(items))
-    return codes, list(index)
+def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes ``0..k-1`` of the keys (each in ``[0, bound)``) in key order,
+    and the ``k`` distinct keys."""
+    if bound <= _BINCOUNT_SPAN * key.size + 64:
+        seen = np.bincount(key, minlength=bound) > 0
+        return (np.cumsum(seen) - 1)[key], np.flatnonzero(seen)
+    distinct, codes = np.unique(key, return_inverse=True)
+    return codes.reshape(key.shape), distinct
+
+
+def _tuple_codes(
+    layers: list[tuple[np.ndarray, list[Any], int]], n: int
+) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
+    """One dense code per item from per-attribute ``(codes, pool values,
+    pool size)`` layers, and the attribute tuple of each code."""
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for codes, _, radix in layers:
+        radix = max(radix, 1)
+        if bound > _KEY_LIMIT // radix:
+            key, distinct = _dense(key, bound)
+            bound = max(distinct.size, 1)
+        key, bound = key * radix + codes, bound * radix
+    codes, distinct = _dense(key, bound)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[codes] = np.arange(n)
+    columns = [
+        [values[c] for c in layer[first].tolist()] for layer, values, _ in layers
+    ]
+    return codes, list(zip(*columns))
+
+
+def _layer(
+    index: CellIndex, name: str, rows: np.ndarray, events: slice | np.ndarray
+) -> tuple[np.ndarray, list[Any], int]:
+    """The ``(codes, pool values, pool size)`` of one attribute at the
+    node ``rows`` (static) or node ``events`` (time-varying)."""
+    values, size = index.pool(name)
+    if name in index.static_names:
+        return index.codes(name)[rows], values, size
+    return index.codes(name)[events], values, size
 
 
 def window_cells(
@@ -62,42 +102,33 @@ def window_cells(
     attributes: Sequence[str],
     positions: Sequence[int],
 ) -> WindowCells:
-    """Factorize the attribute tuples of the nodes present at timeline
-    ``positions``.  A present node whose time-varying value is ``None``
-    carries ``None`` in its tuple."""
-    at = np.asarray(positions, dtype=np.intp)
-    rows, cols = np.nonzero(graph.node_presence.values[:, at])
-    key, bound = np.zeros(rows.size, dtype=np.int64), 1
-    layers = []
+    """The present node cells at timeline ``positions`` and their
+    attribute tuples.  A present node whose time-varying value is
+    ``None`` carries ``None`` in its tuple."""
     for name in attributes:
-        if graph.is_static(name):
-            column = graph.static_attrs.column(name)
-            present, inverse = np.unique(rows, return_inverse=True)
-            codes, values = _factorize(column[present])
-            codes = codes[inverse]
-        else:
-            codes, values = _factorize(graph.varying_attrs[name].values[rows, at[cols]])
-        layers.append((codes, values))
-        radix = max(len(values), 1)
-        if bound > _KEY_LIMIT // radix:
-            key, bound = np.unique(key, return_inverse=True)[1], rows.size
-        key, bound = key * radix + codes, bound * radix
-    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
-    columns = [[values[c] for c in layer[first].tolist()] for layer, values in layers]
+        graph.is_static(name)  # raises on an unknown attribute
+    index = graph._cell_index()
+    at = np.asarray(positions, dtype=np.intp)
+    events, cols = window_events(index.node_indptr, at)
+    rows = index.node_rows[events]
+    layers = [_layer(index, name, rows, events) for name in attributes]
+    codes, tuples = _tuple_codes(layers, rows.size)
     grid = np.full((graph.n_nodes, at.size), -1, dtype=np.int64)
     grid[rows, cols] = codes
-    return WindowCells(rows, cols, codes, list(zip(*columns)), grid)
+    return WindowCells(rows, cols, codes, tuples, grid)
 
 
 def static_codes(
     graph: TemporalGraph, attributes: Sequence[str], rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
     """The static attribute tuple of every node row (or of node ``rows``)
-    as a dense code in first-seen order, and the tuple of each code."""
-    columns = [graph.static_attrs.column(name) for name in attributes]
-    if rows is not None:
-        columns = [column[rows] for column in columns]
-    return _factorize(zip(*columns))
+    as a dense code, and the tuple of each code."""
+    for name in attributes:
+        graph.static_attrs.col_position(name)  # raises unless static
+    index = graph._cell_index()
+    selected = np.arange(graph.n_nodes) if rows is None else np.asarray(rows)
+    layers = [_layer(index, name, selected, selected) for name in attributes]
+    return _tuple_codes(layers, selected.size)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -112,7 +143,7 @@ def _count(
     """COUNT per label; DIST counts each ``(entity, code)`` once."""
     if distinct:
         n = max(len(labels), 1)
-        codes = _distinct(entities * n + codes) % n
+        codes = _distinct(entities.astype(np.int64) * n + codes) % n
     counts = np.bincount(codes, minlength=len(labels)).tolist()
     return {label: count for label, count in zip(labels, counts) if count}
 
@@ -175,18 +206,19 @@ def _edge_cells(
     A dangling edge present in the window raises when ``strict`` and is
     dropped otherwise.
     """
-    block = graph.edge_presence.values[:, np.asarray(positions, np.intp)]
-    erows, ecols = np.nonzero(block)
+    index = graph._cell_index()
+    events, ecols = window_events(index.edge_indptr, np.asarray(positions, np.intp))
+    erows = index.edge_rows[events]
     src, dst = (rows[erows] for rows in graph.storage.endpoint_rows())
     resolved = (src >= 0) & (dst >= 0)
     if strict and not resolved.all():
-        raise _dangling_error(graph, int(erows[np.argmin(resolved)]))
+        raise _dangling_error(graph, int(erows[~resolved].min()))
     erows, ecols = erows[resolved], ecols[resolved]
     source = cells.grid[src[resolved], ecols]
     target = cells.grid[dst[resolved], ecols]
     present = (source >= 0) & (target >= 0)
     n = max(len(cells.tuples), 1)
-    unique, codes = np.unique(source[present] * n + target[present], return_inverse=True)
+    codes, unique = _dense(source[present] * n + target[present], n * n)
     tuples = cells.tuples
     pairs = [(tuples[s], tuples[t]) for s, t in zip(unique // n, unique % n)]
     return erows[present], ecols[present], codes, pairs
@@ -213,7 +245,7 @@ def _events(
     """``(stability, growth, shrinkage)`` per label from the
     ``(entity, code)`` appearances seen in the old and new window."""
     n = max(len(labels), 1)
-    keys = entities * n + codes
+    keys = entities.astype(np.int64) * n + codes
     old, new = _distinct(keys[in_old]), _distinct(keys[in_new])
     kinds = (
         np.intersect1d(old, new, assume_unique=True),

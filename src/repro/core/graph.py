@@ -24,8 +24,10 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ..storage import GraphStorageBackend
+    from .cells import CellIndex
 
 from ..frames import LabeledFrame
+from ..storage.base import CarriedState, resolve_endpoint_rows
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
 
@@ -58,7 +60,7 @@ class TemporalGraph:
         "edge_attrs",
         "_storage_name",
         "_storage",
-        "_endpoints",
+        "_carried",
     )
 
     def __init__(
@@ -89,9 +91,10 @@ class TemporalGraph:
         else:
             self._storage_name = storage.name
             self._storage = storage
-        #: Endpoint rows carried from a parent version by
-        #: ``append_snapshot``; the backend adopts them when it is built.
-        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
+        #: Endpoint rows and the cell index, shared with the backend
+        #: built from this graph and handed on to the graphs derived
+        #: from it (``append_snapshot``, ``take``, ``with_storage``).
+        self._carried = CarriedState()
         self._check_schema()
         if validate:
             self._check_integrity()
@@ -136,8 +139,6 @@ class TemporalGraph:
                 )
 
     def _check_integrity(self) -> None:
-        from ..storage.base import resolve_endpoint_rows
-
         edges = self.edge_presence.row_labels
         src, dst = resolve_endpoint_rows(self.node_presence.row_labels, edges)
         unresolved = np.flatnonzero((src < 0) | (dst < 0))
@@ -155,6 +156,7 @@ class TemporalGraph:
             raise GraphIntegrityError(
                 f"edge {edge!r} is active at a time its endpoints are not"
             )
+        self._carried.endpoints = (src, dst)
 
     # ------------------------------------------------------------------
     # Storage substrate (repro.storage)
@@ -185,17 +187,24 @@ class TemporalGraph:
 
     def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The endpoint rows this graph already holds -- its backend's,
-        or those carried from its parent version -- without resolving
-        any; ``None`` when neither exists."""
+        or those carried to it -- without resolving any; ``None`` when
+        neither exists."""
         if self._storage is None:
-            return self._endpoints
+            return self._carried.endpoints
         return self._storage._resolved_endpoint_rows()
+
+    def _cell_index(self) -> "CellIndex":
+        """The cell index the kernel reads (:mod:`repro.core.cells`),
+        carried to this graph, derived from its source, or built from
+        its frames on first use."""
+        return self._carried.cell_index(self)
 
     def with_storage(
         self, storage: "GraphStorageBackend | str"
     ) -> "TemporalGraph":
-        """A new graph over the same frames pinned to ``storage``."""
-        return TemporalGraph(
+        """A new graph over the same frames pinned to ``storage``, sharing
+        this graph's endpoint rows and cell index."""
+        graph = TemporalGraph(
             timeline=self.timeline,
             node_presence=self.node_presence,
             edge_presence=self.edge_presence,
@@ -205,6 +214,8 @@ class TemporalGraph:
             edge_attrs=self.edge_attrs,
             storage=storage,
         )
+        graph._carried = self._carried
+        return graph
 
     def presence_mask(
         self,
@@ -361,8 +372,12 @@ class TemporalGraph:
         times: Sequence[Hashable],
         validate: bool = False,
     ) -> "TemporalGraph":
-        """:meth:`restricted` by node and edge row *positions*."""
-        return TemporalGraph(
+        """:meth:`restricted` by node and edge row *positions*.
+
+        The new graph derives its endpoint rows and cell index from this
+        graph's, on its first kernel call.
+        """
+        graph = TemporalGraph(
             timeline=Timeline(times),
             node_presence=self.node_presence.take(node_rows, times),
             edge_presence=self.edge_presence.take(edge_rows, times),
@@ -381,6 +396,13 @@ class TemporalGraph:
             # restricted graph's arrays differ, so it builds its own.
             storage=self._storage_name,
         )
+        graph._carried.source = (
+            self,
+            np.asarray(node_rows, dtype=np.int32),
+            np.asarray(edge_rows, dtype=np.int32),
+            tuple(times),
+        )
+        return graph
 
     # ------------------------------------------------------------------
     # Dunder protocol

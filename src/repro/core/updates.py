@@ -86,10 +86,11 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
 
     The new version extends what its parent holds instead of re-deriving
     it from labels: each axis gets one row index (a copy of the parent's,
-    grown by the new labels) shared by every frame of the new graph, and
+    grown by the new labels) shared by every frame of the new graph;
     endpoint rows the parent already holds are carried over with the new
-    edges' rows appended.  The parent's frames, indexes and arrays are
-    never mutated.
+    edges' rows appended; and a cell index the parent holds is extended
+    by the new column (:meth:`repro.core.cells.CellIndex.extended`).
+    The parent's frames, indexes and arrays are never mutated.
     """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
@@ -152,9 +153,10 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     ) -> LabeledFrame:
         return LabeledFrame._adopt(all_nodes, cols, values, node_index, col_index)
 
+    present = np.sort(_rows_of(node_index, incoming))
     node_values = np.zeros((len(all_nodes), len(new_times)), dtype=np.uint8)
     node_values[:n_nodes, :-1] = graph.node_presence.values
-    node_values[_rows_of(node_index, incoming), -1] = 1
+    node_values[present, -1] = 1
     node_presence = node_frame(new_times, node_values, time_index)
 
     static_names = graph.static_attrs.col_labels
@@ -176,12 +178,14 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         varying_attrs[name] = node_frame(new_times, values, time_index)
 
     edge_index = graph.edge_presence._rows_copy()
-    new_edge_ids = [e for e in dict.fromkeys(edges) if e not in edge_index]
+    distinct_edges = dict.fromkeys(edges)
+    new_edge_ids = [e for e in distinct_edges if e not in edge_index]
     all_edges = graph.edges + tuple(new_edge_ids)
     edge_index.update(zip(new_edge_ids, range(n_edges, len(all_edges))))
+    edge_rows = np.sort(_rows_of(edge_index, distinct_edges))
     edge_values = np.zeros((len(all_edges), len(new_times)), dtype=np.uint8)
     edge_values[:n_edges, :-1] = graph.edge_presence.values
-    edge_values[_rows_of(edge_index, edges), -1] = 1
+    edge_values[edge_rows, -1] = 1
     edge_presence = LabeledFrame._adopt(
         all_edges, new_times, edge_values, edge_index, time_index
     )
@@ -213,10 +217,27 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         # immutable and earlier versions keep their own backends.
         storage=graph.storage_name,
     )
+    carried = appended._carried
     parent_rows = graph._resolved_endpoint_rows()
     if parent_rows is not None:
-        appended._endpoints = _carried_endpoint_rows(
+        carried.endpoints = _carried_endpoint_rows(
             parent_rows, all_nodes, node_index, all_edges, new_edge_ids
+        )
+    parent_cells = graph._carried.cells
+    if parent_cells is not None:
+        carried.cells = parent_cells.extended(
+            len(all_nodes),
+            len(all_edges),
+            present,
+            edge_rows,
+            static={
+                str(name): static_values[n_nodes:, col]
+                for col, name in enumerate(static_names)
+            },
+            varying={
+                name: frame.values[present, -1]
+                for name, frame in varying_attrs.items()
+            },
         )
     return appended
 

@@ -221,8 +221,9 @@ def _sample_active_sets(
                 returners = rng.choice(
                     np.array(sorted(set(retired))), size=return_count, replace=False
                 )
+                returned = {int(n) for n in returners}
                 members.extend(int(n) for n in returners)
-                retired = [n for n in retired if n not in set(int(x) for x in returners)]
+                retired = [n for n in retired if n not in returned]
                 shortfall = target - len(members)
         if shortfall > 0:
             members.extend(range(next_id, next_id + shortfall))

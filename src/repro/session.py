@@ -187,11 +187,12 @@ class GraphTempoSession:
         result-cache entries for older versions) — so neither the
         session nor its server can answer from a stale timeline.
         """
-        self.graph = (
-            version.graph
-            if self.storage is None
-            else version.graph.with_storage(self.storage)
-        )
+        if self.storage is not None:
+            # The re-pinned graph shares the version's carried state.
+            version = GraphVersion(
+                version.version, version.graph.with_storage(self.storage)
+            )
+        self.graph = version.graph
         self.cube = TemporalGraphCube(self.graph, hierarchy=self.hierarchy)
         if self._server is not None:
             self._server.rebind(version, cube=self.cube)

@@ -115,21 +115,18 @@ class GraphStorageBackend(ABC):
 
     @classmethod
     def from_graph(cls, graph: "TemporalGraph") -> "GraphStorageBackend":
-        """Build from a :class:`~repro.core.graph.TemporalGraph`,
-        adopting the endpoint rows it carries from its parent version
-        (:func:`~repro.core.append_snapshot`), if any."""
-        return cls._from_frames(frames_of(graph), graph._endpoints)
+        """Build from a :class:`~repro.core.graph.TemporalGraph`, sharing
+        its :class:`CarriedState`: endpoint rows it already holds, carried
+        from a parent version or derived from an operator's input."""
+        return cls._from_frames(frames_of(graph), graph._carried)
 
     @classmethod
     def _from_frames(
-        cls,
-        frames: StorageFrames,
-        endpoints: tuple[np.ndarray, np.ndarray] | None,
+        cls, frames: StorageFrames, carried: "CarriedState"
     ) -> "GraphStorageBackend":
-        """:meth:`from_frames`, given the frames' :meth:`endpoint_rows`
-        when they are already resolved (``None`` when not).  Backends
-        that hold the rows override this to adopt them instead of
-        resolving them again."""
+        """:meth:`from_frames`, given the frames' carried state.  Backends
+        that hold endpoint rows override this to take them from
+        ``carried.endpoint_rows`` instead of resolving them again."""
         return cls.from_frames(frames)
 
     @abstractmethod
@@ -301,6 +298,99 @@ def resolve_endpoint_rows(
     rows = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2).T.copy()
     rows.flags.writeable = False
     return rows[0], rows[1]
+
+
+class CarriedState:
+    """What a graph derives from its frames once and hands on: its
+    :meth:`GraphStorageBackend.endpoint_rows` and its cell index
+    (:class:`repro.core.cells.CellIndex`).
+
+    One instance serves every graph over the same frames (``with_storage``
+    shares it) and the backend built from them.  ``append_snapshot``
+    carries both parts from the parent version.  A graph made by
+    ``TemporalGraph.take`` keeps its ``source``, ``(parent, node rows,
+    edge rows, times)``, and derives each part from the parent's on
+    first use; otherwise a part is built from the frames on first use.
+    """
+
+    __slots__ = ("endpoints", "cells", "source")
+
+    def __init__(self) -> None:
+        self.endpoints: tuple[np.ndarray, np.ndarray] | None = None
+        self.cells: Any = None
+        #: ``(parent graph, node rows, edge rows, times)`` of a graph made
+        #: by ``take``, until both parts are derived from the parent's.
+        self.source: tuple[Any, np.ndarray, np.ndarray, tuple[Hashable, ...]] | None = None
+
+    def endpoint_rows(
+        self, node_labels: Sequence[Hashable], edge_labels: Sequence[Hashable]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint rows of these labels: held, derived from the
+        source's by remapping rows, or resolved from the labels."""
+        rows = self.endpoints
+        if rows is None:
+            source = self.source
+            if source is None:
+                rows = resolve_endpoint_rows(node_labels, edge_labels)
+            else:
+                parent, node_rows, edge_rows, _ = source
+                rows = _taken_endpoint_rows(
+                    parent.storage.endpoint_rows(), parent.n_nodes, node_rows, edge_rows
+                )
+            self.endpoints = rows
+            self._settle()
+        return rows
+
+    def cell_index(self, graph: "TemporalGraph") -> Any:
+        """The cell index of ``graph`` (whose frames this state belongs
+        to): held, derived from the source's, or built from the frames."""
+        index = self.cells
+        if index is None:
+            from ..core.cells import build_cells
+
+            source = self.source
+            if source is None:
+                index = build_cells(graph)
+            else:
+                parent, node_rows, edge_rows, times = source
+                positions = [parent.timeline.index_of(t) for t in times]
+                index = parent._cell_index().taken(node_rows, edge_rows, positions)
+            self.cells = index
+            self._settle()
+        return index
+
+    def _settle(self) -> None:
+        """Let go of the parent once both parts are derived from it."""
+        if self.endpoints is not None and self.cells is not None:
+            self.source = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The cell index shares buffers (and their lock) between
+        # versions; a copy in another process rebuilds its own.
+        return {"endpoints": self.endpoints}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.endpoints = state["endpoints"]
+        self.cells = None
+        self.source = None
+
+
+def _taken_endpoint_rows(
+    rows: tuple[np.ndarray, np.ndarray],
+    n_nodes: int,
+    node_rows: np.ndarray,
+    edge_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint rows of a graph that keeps ``node_rows`` and
+    ``edge_rows`` of one whose endpoint rows are ``rows``: an endpoint
+    whose node is not kept becomes ``-1``, like an unresolved one."""
+    # The extra last slot maps the parent's -1 rows to -1.
+    remap = np.full(n_nodes + 1, -1, dtype=np.int32)
+    remap[node_rows] = np.arange(node_rows.size, dtype=np.int32)
+    src, dst = (remap[side[edge_rows]] for side in rows)
+    src.flags.writeable = False
+    dst.flags.writeable = False
+    return src, dst
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

@@ -43,12 +43,7 @@ import numpy as np
 
 from ..errors import LabelError, StorageError
 from ..frames import LabeledFrame
-from .base import (
-    GraphStorageBackend,
-    StorageFrames,
-    register_backend,
-    resolve_endpoint_rows,
-)
+from .base import CarriedState, GraphStorageBackend, StorageFrames, register_backend
 from .dense import _object_array_nbytes
 
 __all__ = ["ColumnarBackend"]
@@ -205,24 +200,18 @@ class ColumnarBackend(GraphStorageBackend):
 
     @classmethod
     def from_frames(cls, frames: StorageFrames) -> "ColumnarBackend":
-        return cls._from_frames(frames, None)
+        return cls._from_frames(frames, CarriedState())
 
     @classmethod
     def _from_frames(
-        cls,
-        frames: StorageFrames,
-        endpoints: tuple[np.ndarray, np.ndarray] | None,
+        cls, frames: StorageFrames, carried: CarriedState
     ) -> "ColumnarBackend":
         node_bool = frames.node_presence.values.astype(bool)
         edge_bool = frames.edge_presence.values.astype(bool)
         node_labels = frames.node_presence.row_labels
         edge_labels = frames.edge_presence.row_labels
 
-        src, dst = (
-            resolve_endpoint_rows(node_labels, edge_labels)
-            if endpoints is None
-            else endpoints
-        )
+        src, dst = carried.endpoint_rows(node_labels, edge_labels)
 
         static_names = tuple(str(c) for c in frames.static_attrs.col_labels)
         static_values = frames.static_attrs.values

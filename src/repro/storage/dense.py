@@ -15,12 +15,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from ..errors import LabelError, StorageError
-from .base import (
-    GraphStorageBackend,
-    StorageFrames,
-    register_backend,
-    resolve_endpoint_rows,
-)
+from .base import CarriedState, GraphStorageBackend, StorageFrames, register_backend
 
 __all__ = ["DenseBackend"]
 
@@ -33,10 +28,10 @@ class DenseBackend(GraphStorageBackend):
 
     def __init__(self, frames: StorageFrames) -> None:
         self._frames = frames
-        #: ``endpoint_rows`` arrays, carried from a parent version or
+        #: Holds the ``endpoint_rows`` arrays, carried, derived or
         #: resolved on first use: most graphs an operator derives are
         #: only masked, never aggregated.
-        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
+        self._carried = CarriedState()
 
     # ------------------------------------------------------------------
     # Construction / round-trip
@@ -48,12 +43,10 @@ class DenseBackend(GraphStorageBackend):
 
     @classmethod
     def _from_frames(
-        cls,
-        frames: StorageFrames,
-        endpoints: tuple[np.ndarray, np.ndarray] | None,
+        cls, frames: StorageFrames, carried: CarriedState
     ) -> "DenseBackend":
         backend = cls(frames)
-        backend._endpoints = endpoints
+        backend._carried = carried
         return backend
 
     def to_frames(self) -> StorageFrames:
@@ -148,14 +141,10 @@ class DenseBackend(GraphStorageBackend):
         raise LabelError(f"unknown attribute {name!r}")
 
     def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._endpoints is None:
-            self._endpoints = resolve_endpoint_rows(
-                self.node_labels, self.edge_labels
-            )
-        return self._endpoints
+        return self._carried.endpoint_rows(self.node_labels, self.edge_labels)
 
     def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._endpoints
+        return self._carried.endpoints
 
     # ------------------------------------------------------------------
     # Accounting

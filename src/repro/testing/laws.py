@@ -26,10 +26,12 @@ import numpy as np
 
 from ..core import (
     Interval,
+    SnapshotUpdate,
     TemporalGraph,
     TimeHierarchy,
     aggregate,
     aggregate_evolution,
+    append_snapshot,
     coarsen,
     difference,
     intersection,
@@ -38,6 +40,7 @@ from ..core import (
     project,
     union,
 )
+from ..core.cells import build_cells
 from ..core.evolution import EvolutionWeights
 from ..core.fast import check_no_dangling_edges
 from ..core.updates import split_history
@@ -241,6 +244,57 @@ def _union_partition(graph: TemporalGraph, rng: np.random.Generator) -> str | No
             f"union edges {sorted(whole ^ parts)!r} not covered exactly by "
             "the three-way partition"
         )
+    return None
+
+
+def _rows_problem(graph: TemporalGraph) -> str | None:
+    """How ``graph``'s endpoint rows differ from rows resolved from its
+    labels (dtype included); ``None`` when they do not."""
+    rows = graph.storage.endpoint_rows()
+    expected = resolve_endpoint_rows(graph.nodes, graph.edges)
+    for got, want in zip(rows, expected):
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            return (
+                f"endpoint rows diverge from rows resolved from labels: "
+                f"{got.tolist()} != {want.tolist()}"
+            )
+    return None
+
+
+def _cells_problem(graph: TemporalGraph) -> str | None:
+    """How the cell index ``graph`` holds differs, decoded, from one
+    built from its frames; ``None`` when it does not."""
+    if graph._cell_index().decoded() != build_cells(graph).decoded():
+        return (
+            f"cell index over {graph.timeline.labels!r} diverges from one "
+            "built from its frames"
+        )
+    return None
+
+
+@register_law(
+    "operator-cell-index",
+    "an operator result derives its cell index and endpoint rows from its "
+    "input's, equal to those built from its own frames, two operators deep",
+)
+def _operator_cell_index(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    w1, w2 = random_time_sets(rng, graph, n=2)
+    results = [
+        union(graph, w1, w2),
+        intersection(graph, w1, w2),
+        difference(graph, w1, w2),
+        project(graph, w1[:1]),
+    ]
+    # One operator deeper: the first result's index is derived first.
+    nested = results[int(rng.integers(len(results)))]
+    labels = nested.timeline.labels
+    results.append(difference(nested, labels[:1], labels[1:]))
+    for result in results:
+        problem = _cells_problem(result) or _rows_problem(result)
+        if problem:
+            return problem
     return None
 
 
@@ -715,16 +769,14 @@ def _carried_state_problem(
     parent: TemporalGraph, child: TemporalGraph
 ) -> str | None:
     """How the state ``append_snapshot`` carried into ``child`` differs
-    from the state rebuilt from its labels, or how the append changed
-    ``parent``; ``None`` when it did neither."""
-    rows = child.storage.endpoint_rows()
-    expected = resolve_endpoint_rows(child.nodes, child.edges)
-    for got, want in zip(rows, expected):
-        if got.dtype != want.dtype or not np.array_equal(got, want):
-            return (
-                f"endpoint rows at {child.timeline.labels[-1]!r} diverge from "
-                f"rows resolved from labels: {got.tolist()} != {want.tolist()}"
-            )
+    from the state rebuilt from its labels and frames, or how the append
+    changed ``parent``; ``None`` when it did neither.  ``parent`` holds a
+    cell index, so ``child`` must have been handed one."""
+    if child._carried.cells is None:
+        return f"no cell index was carried to {child.timeline.labels[-1]!r}"
+    problem = _rows_problem(child) or _cells_problem(child)
+    if problem:
+        return f"at {child.timeline.labels[-1]!r}: {problem}"
     for frame in _label_frames(child):
         for position, label in enumerate(frame.row_labels):
             if frame.row_position(label) != position:
@@ -747,7 +799,8 @@ def _carried_state_problem(
     "replaying split_history through a StreamingStore rebuilds the graph "
     "bit-exactly, publishes one monotonic version per append, keeps "
     "delta-maintained totals equal to the direct aggregate, and carries "
-    "endpoint rows and row indexes equal to those rebuilt from labels",
+    "endpoint rows, row indexes and the cell index equal to those rebuilt "
+    "from labels and frames, leaving the parent's index unchanged",
     hostile_safe=False,
 )
 def _streaming_replay_identity(
@@ -761,10 +814,13 @@ def _streaming_replay_identity(
     store.on_append(lambda version: fired.append(version.version))
     for update in updates:
         parent = store.graph
+        before = parent._cell_index().decoded()
         store.append_snapshot(update)
         problem = _carried_state_problem(parent, store.graph)
         if problem:
             return problem
+        if parent._cell_index().decoded() != before:
+            return f"appending {update.time!r} changed the parent's cell index"
     if graph_to_maps(store.graph) != graph_to_maps(graph):
         return "replayed graph diverges from the original"
     if store.version != len(updates) or fired != list(range(1, len(updates) + 1)):
@@ -776,16 +832,34 @@ def _streaming_replay_identity(
     problems = totals.union_total(attrs).diff(direct)
     if problems:
         return f"delta-maintained union total diverges: {problems[0]}"
+    if len(updates) > 1:
+        # A sibling of version 1 with other content extends the initial
+        # version, no longer its buffers' tip: the replay must not change.
+        last = updates[-1]
+        append_snapshot(
+            initial,
+            SnapshotUpdate(
+                updates[0].time, last.nodes, last.static, last.edges, last.edge_attrs
+            ),
+        )
+        problem = _cells_problem(store.at_version(1).graph)
+        if problem:
+            return f"a sibling append changed version 1: {problem}"
     # The same frozen updates must replay a second time verbatim — the
     # regression the SnapshotUpdate freeze exists for.
     # No reads between these appends: rows carry from version to version
-    # without any backend being built.
+    # without any backend being built.  The replay branches off the
+    # initial version, which is no longer its buffers' tip, so its cell
+    # index is copied before it is extended, and the first replay's
+    # versions must read what they read before.
     second = StreamingStore(initial)
     for update in updates:
         second.append_snapshot(update)
     if graph_to_maps(second.graph) != graph_to_maps(store.graph):
         return "second replay of the same updates diverges (updates not frozen?)"
-    return _carried_state_problem(second.at_version(0).graph, second.graph)
+    return _carried_state_problem(
+        second.at_version(0).graph, second.graph
+    ) or _cells_problem(store.graph)
 
 
 @register_law(

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import GraphTempoSession
-from repro.core import TimeHierarchy, aggregate, union
+from repro.core import SnapshotUpdate, TimeHierarchy, aggregate, union
 from repro.exploration import EventType, ExtendSide, Goal
+from repro.query import run_query
+from repro.storage import backend_names
 
 
 @pytest.fixture()
@@ -145,3 +147,22 @@ class TestSessionQuery:
     def test_query_explore(self, session):
         result = session.query("explore growth k 1")
         assert result.pairs
+
+
+class TestStoragePinnedServing:
+    @pytest.mark.parametrize("storage", backend_names())
+    def test_server_follows_appends(self, paper_graph, storage):
+        session = GraphTempoSession(paper_graph, storage=storage)
+        server = session.serving
+        session.append(
+            SnapshotUpdate(
+                time="t3",
+                nodes={"u2": {"publications": 2}, "u9": {"publications": 4}},
+                static={"u9": {"gender": "f"}},
+                edges=[("u9", "u2")],
+            )
+        )
+        assert server.graph is session.graph
+        assert server.graph.storage_name == storage
+        text = "aggregate gender, publications over union [t2], [t3]"
+        assert session.query(text) == run_query(session.stream.graph, text)

@@ -442,7 +442,17 @@ class TestCarriedState:
     def test_unread_parent_yields_the_same_rows(self, paper_graph, storage):
         read = paper_graph.with_storage(storage)
         aggregate(read, ["gender"])
-        unread = paper_graph.with_storage(storage)
+        # A new, unvalidated graph over the same frames holds no rows
+        # (``with_storage`` would share the rows ``read`` holds).
+        unread = TemporalGraph(
+            paper_graph.timeline,
+            paper_graph.node_presence,
+            paper_graph.edge_presence,
+            paper_graph.static_attrs,
+            paper_graph.varying_attrs,
+            validate=False,
+            storage=storage,
+        )
         update = make_update()
         carried = append_snapshot(read, update)
         resolved = append_snapshot(unread, update)
