@@ -1,14 +1,18 @@
 """Old-vs-new exploration engine scaling benchmark.
 
-Measures what the incremental :class:`~repro.exploration.ChainEvaluator`
-buys over the seed implementation's per-pair evaluation:
+Measures what the packed depth-at-a-time walks of
+:class:`~repro.exploration.ChainEvaluator` buy over the seed
+implementation's per-pair evaluation, which survives as the parity
+oracle in :mod:`repro.testing.reference`:
 
 * **synthetic scaling** — ``exhaustive_explore`` and pruned ``explore``
-  on growing synthetic timelines, ``incremental=True`` vs. the naive
-  per-pair re-reduction (``incremental=False``, the seed's strategy);
+  on growing synthetic timelines vs. ``exhaustive_reference`` and
+  ``explore_reference``, the per-pair re-reduction (the seed's
+  strategy);
 * **varying-attribute fallback** — the vectorized tuple-code appearance
-  counting vs. a faithful reimplementation of the seed's nested Python
-  loop, driven through identical chain walks;
+  counting over the production unpruned walk vs. a faithful
+  reimplementation of the seed's nested Python loop over the per-pair
+  reference chains;
 * **paper configurations** — the Figure 13 (MovieLens) and Figure 14
   (DBLP) exploration cases at their Section-3.5 thresholds.
 
@@ -53,6 +57,11 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
     suggest_threshold,
+)
+from repro.testing.reference import (
+    exhaustive_reference,
+    explore_reference,
+    reference_chain,
 )
 
 FF = (("f",), ("f",))
@@ -124,19 +133,35 @@ def synthetic_graph(n_times: int, nodes: int, edges: int, seed: int = 7):
     return generate_evolving_graph(config)
 
 
-def _drain_chains(counter: EventCounter, incremental: bool) -> int:
-    """Consume every extension chain of every reference point — the
-    exhaustive exploration workload, stripped of result bookkeeping."""
+#: The chains :func:`_drain_chains` consumes.
+DRAINED = (
+    (EventType.STABILITY, Semantics.INTERSECTION, ExtendSide.NEW),
+    (EventType.GROWTH, Semantics.UNION, ExtendSide.OLD),
+)
+
+
+def _drain_chains(counter: EventCounter) -> int:
+    """Consume every extension chain of every reference point, one
+    per-pair reference chain at a time — the exhaustive exploration
+    workload, stripped of result bookkeeping."""
     total = 0
-    for event, semantics, extend in (
-        (EventType.STABILITY, Semantics.INTERSECTION, ExtendSide.NEW),
-        (EventType.GROWTH, Semantics.UNION, ExtendSide.OLD),
-    ):
-        evaluator = ChainEvaluator(counter, event, incremental=incremental)
-        n_times = len(counter.graph.timeline)
-        for reference in range(n_times - 1):
-            for step in evaluator.chain(reference, extend, semantics):
+    references = len(counter.graph.timeline) - 1
+    for event, semantics, extend in DRAINED:
+        for reference in range(references):
+            for step in reference_chain(counter, event, reference, extend, semantics):
                 total += step.count
+    return total
+
+
+def _walk_chains(counter: EventCounter) -> int:
+    """:func:`_drain_chains` through the production unpruned walk."""
+    total = 0
+    references = len(counter.graph.timeline) - 1
+    for event, semantics, extend in DRAINED:
+        walk = ChainEvaluator(counter, event).walk_counts(
+            0, references, extend, semantics
+        )
+        total += sum(int(counts.sum()) for _, _, counts, _ in walk)
     return total
 
 
@@ -144,24 +169,13 @@ def bench_synthetic_scaling(lengths, nodes, edges, repeats):
     rows = []
     for n_times in lengths:
         graph = synthetic_graph(n_times, nodes, edges)
-        for name, fn in (
-            (
-                "exhaustive_explore",
-                lambda g, inc: exhaustive_explore(
-                    g, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1,
-                    incremental=inc,
-                ),
-            ),
-            (
-                "explore",
-                lambda g, inc: explore(
-                    g, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1,
-                    incremental=inc,
-                ),
-            ),
+        case = (EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1)
+        for name, fast, oracle in (
+            ("exhaustive_explore", exhaustive_explore, exhaustive_reference),
+            ("explore", explore, explore_reference),
         ):
-            new = measure(lambda: fn(graph, True), repeats=repeats)
-            old = measure(lambda: fn(graph, False), repeats=repeats)
+            new = measure(lambda: fast(graph, *case), repeats=repeats)
+            old = measure(lambda: oracle(graph, *case), repeats=repeats)
             assert new.result == old.result
             rows.append(
                 {
@@ -189,8 +203,8 @@ def bench_varying_fallback(lengths, nodes, edges, repeats):
         graph = synthetic_graph(n_times, nodes, edges)
         seed_counter = _SeedEventCounter(graph, attributes=["level"])
         vec_counter = EventCounter(graph, attributes=["level"])
-        old = measure(lambda: _drain_chains(seed_counter, False), repeats=repeats)
-        new = measure(lambda: _drain_chains(vec_counter, True), repeats=repeats)
+        old = measure(lambda: _drain_chains(seed_counter), repeats=repeats)
+        new = measure(lambda: _walk_chains(vec_counter), repeats=repeats)
         assert new.result == old.result
         rows.append(
             {
@@ -224,12 +238,10 @@ def bench_paper_configs(dataset, graph, repeats):
         k = suggest_threshold(
             graph, event, mode, attributes=["gender"], key=FF
         )
-        fn = lambda inc: explore(
-            graph, event, goal, extend, k,
-            attributes=["gender"], key=FF, incremental=inc,
-        )
-        new = measure(lambda: fn(True), repeats=repeats)
-        old = measure(lambda: fn(False), repeats=repeats)
+        case = (graph, event, goal, extend, k)
+        what = dict(attributes=["gender"], key=FF)
+        new = measure(lambda: explore(*case, **what), repeats=repeats)
+        old = measure(lambda: explore_reference(*case, **what), repeats=repeats)
         assert new.result == old.result
         rows.append(
             {

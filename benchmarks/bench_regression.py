@@ -11,9 +11,9 @@ Run with ``pytest benchmarks -m bench_smoke``.  Three layers:
   ``benchmarks/conftest.py``): the incremental-evaluator speedups, the
   observability overhead budget, the streaming, serving and storage
   gates;
-* **live smoke** — the streaming, storage and serving benchmarks re-run
-  end to end at smoke size, which re-asserts their parity checks on
-  this machine before any timing is trusted.
+* **live smoke** — the exploration, streaming, storage and serving
+  benchmarks re-run end to end at smoke size, which re-asserts their
+  parity checks on this machine before any timing is trusted.
 
 Wall-clock times are never compared across machines; only ratios and
 internal consistency are checked, so the gate is meaningful on any box.
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from bench_exploration_scaling import main as explore_bench_main
 from bench_serving import GATE as SERVING_GATE
 from bench_serving import main as serving_bench_main
 from bench_storage import GATE_FOOTPRINT as STORAGE_GATE_FOOTPRINT
@@ -229,6 +230,18 @@ class TestBaselineCatalogue:
 
 
 class TestLiveSmoke:
+    def test_explore_bench_smoke_run(self, tmp_path):
+        """End-to-end smoke run: the production-vs-reference parity
+        asserts (``old == new``) fire on *this* machine before either
+        arm is timed."""
+        output = tmp_path / "BENCH_explore.json"
+        exit_code = explore_bench_main(["--smoke", "--output", str(output)])
+        assert exit_code == 0
+        report = json.loads(output.read_text(encoding="utf-8"))
+        assert report["meta"]["smoke"] is True
+        for section in ("synthetic_scaling", "varying_fallback", "paper_configs"):
+            assert report[section], f"{section} is empty"
+
     def test_streaming_bench_smoke_run(self, tmp_path):
         """End-to-end smoke run: the delta-vs-recompute parity asserts
         fire on *this* machine before anything is timed."""

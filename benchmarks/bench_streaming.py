@@ -12,7 +12,7 @@ state current:
   from-scratch ``aggregate_evolution`` per append;
 * **exploration** — the growing-new-side event chain
   (:class:`~repro.streaming.ExplorationView`) vs. re-walking the full
-  :meth:`ChainEvaluator.chain` per append.
+  chain with :meth:`ChainEvaluator.walk_counts` per append.
 
 Every delta result is checked identical to its recompute twin before
 anything is timed, so the speedups can never come from divergent work.
@@ -125,12 +125,10 @@ def _scratch_exploration(initial, graphs, updates):
         evaluator = ChainEvaluator(
             EventCounter(graph, entity=EntityKind.NODES), EventType.GROWTH
         )
-        counts = tuple(
-            step.count
-            for step in evaluator.chain(
-                reference, ExtendSide.NEW, Semantics.UNION
-            )
+        walk = evaluator.walk_counts(
+            reference, reference + 1, ExtendSide.NEW, Semantics.UNION
         )
+        counts = tuple(int(depth_counts[0]) for _, _, depth_counts, _ in walk)
     return counts
 
 

@@ -10,7 +10,9 @@ CLI and the example scripts render these; the pytest-benchmark suite in
 Aggregation is timed through the paper's own algorithm
 (:func:`repro.testing.reference.aggregate_reference`: Algorithm 2, or the
 Section 4.2 static path), not the production kernel, so the series stay
-comparable with the paper's figures and with EXPERIMENTS.md.
+comparable with the paper's figures and with EXPERIMENTS.md.  Each driver
+imports it when it runs, so importing :mod:`repro` loads no part of
+:mod:`repro.testing`.
 
 Interval conventions follow the paper: interval sweeps anchor at the
 first time point and extend right one base point at a time; for the
@@ -25,7 +27,6 @@ from typing import Any
 
 from ..core import TemporalGraph, difference, project, union
 from ..materialize import MaterializedStore
-from ..testing.reference import aggregate_reference
 from .timing import measure
 
 __all__ = [
@@ -67,6 +68,8 @@ def fig5_timepoint_aggregation(
     repeats: int = 1,
 ) -> ExperimentSeries:
     """Figure 5: aggregation time per attribute (set) on each time point."""
+    from ..testing.reference import aggregate_reference
+
     result = ExperimentSeries(
         "fig5: time-point aggregation",
         "time point",
@@ -103,6 +106,8 @@ def fig6_union_aggregation(
     as separate series (the paper's per-attribute time-split panels);
     otherwise each series is the total.
     """
+    from ..testing.reference import aggregate_reference
+
     spans = _interval_spans(graph)
     result = ExperimentSeries(
         "fig6: union + aggregation",
@@ -152,6 +157,8 @@ def fig7_intersection_aggregation(
     covered point; the sweep stops at the longest span that still has a
     common edge, as in the paper.
     """
+    from ..testing.reference import aggregate_reference
+
     labels = graph.timeline.labels
     limit = _strict_span_limit(graph)
     spans = [labels[: i + 1] for i in range(limit)]
@@ -189,6 +196,8 @@ def _difference_sweep(
 ) -> ExperimentSeries:
     """Shared sweep for Figures 8 and 9: ``T_old`` extends under union
     semantics while ``T_new`` is the (fixed) last time point."""
+    from ..testing.reference import aggregate_reference
+
     labels = graph.timeline.labels
     new_times = (labels[-1],)
     old_spans = [labels[: i + 1] for i in range(len(labels) - 1)]
@@ -270,6 +279,8 @@ def fig10_materialized_union_speedup(
     aggregation) divided by the time to sum precomputed per-point
     aggregates from a warm :class:`MaterializedStore`.
     """
+    from ..testing.reference import aggregate_reference
+
     spans = _interval_spans(graph)[1:]  # speedup needs length >= 2
     result = ExperimentSeries(
         "fig10: materialized union speedup",
@@ -307,6 +318,8 @@ def fig11_attribute_rollup_speedup(
     """Figure 11: speedup of D-distributive attribute roll-up per time
     point — deriving each subset aggregate from the materialized
     superset aggregate vs. computing it from scratch."""
+    from ..testing.reference import aggregate_reference
+
     result = ExperimentSeries(
         "fig11: attribute roll-up speedup",
         "time point",

@@ -5,8 +5,9 @@ run here.  For one window the kernel slices the present cells out of
 the graph's time-major cell index (:mod:`repro.core.cells`), combines
 their integer attribute codes into one dense *tuple code* per cell,
 counts DIST over distinct ``(row, code)`` keys and ALL with
-``np.bincount``, resolves edges through the storage backend's int32
-``endpoint_rows``, and decodes only the distinct output keys.  The
+``np.bincount``, resolves edges through the graph's int32 endpoint rows
+(its backend's, or the ones it carries, without building a backend),
+and decodes only the distinct output keys.  The
 paper's literal Algorithm 2 is the oracle it is diffed against
 (:mod:`repro.testing.reference`).
 """
@@ -162,7 +163,7 @@ def _dangling_error(
     if not (isinstance(edge, tuple) and len(edge) == 2):
         problem = "is not a (source, target) pair"
     else:
-        missing = edge[0] if backend.endpoint_rows()[0][row] < 0 else edge[1]
+        missing = edge[0] if graph._endpoint_rows()[0][row] < 0 else edge[1]
         problem = f"references node {missing!r} absent from node presence"
     return error(
         f"edge {edge!r} {problem}; the graph has dangling edges "
@@ -183,10 +184,10 @@ def check_no_dangling_edges(
     aggregating in place over a window fails exactly when aggregating
     the window's union graph does.  Exploration counts that read
     endpoint attributes apply it to the whole timeline.  Reads the
-    storage backend's ``endpoint_rows`` and names the backend in the
-    error.
+    endpoint rows the graph holds or carries, so a valid graph builds no
+    storage backend here; the error names the backend.
     """
-    src, dst = graph.storage.endpoint_rows()
+    src, dst = graph._endpoint_rows()
     unresolved = (src < 0) | (dst < 0)
     if unresolved.any():
         dangling = unresolved & graph.presence_mask("edges", times, "any")
@@ -209,7 +210,7 @@ def _edge_cells(
     index = graph._cell_index()
     events, ecols = window_events(index.edge_indptr, np.asarray(positions, np.intp))
     erows = index.edge_rows[events]
-    src, dst = (rows[erows] for rows in graph.storage.endpoint_rows())
+    src, dst = (rows[erows] for rows in graph._endpoint_rows())
     resolved = (src >= 0) & (dst >= 0)
     if strict and not resolved.all():
         raise _dangling_error(graph, int(erows[~resolved].min()))

@@ -193,6 +193,15 @@ class TemporalGraph:
             return self._carried.endpoints
         return self._storage._resolved_endpoint_rows()
 
+    def _endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`GraphStorageBackend.endpoint_rows` of this graph,
+        read without building a backend: its backend's if it has one,
+        else the carried ones, derived from its source's or resolved
+        from the labels on first use."""
+        if self._storage is not None:
+            return self._storage.endpoint_rows()
+        return self._carried.endpoint_rows(self.nodes, self.edges)
+
     def _cell_index(self) -> "CellIndex":
         """The cell index the kernel reads (:mod:`repro.core.cells`),
         carried to this graph, derived from its source, or built from

@@ -14,7 +14,7 @@ from .explore import (
     u_explore,
 )
 from .groups import GroupExplorationResult, explore_groups
-from .lattice import Semantics, Side, left_chain, right_chain
+from .lattice import Semantics, Side
 from .two_sided import (
     TwoSidedPair,
     find_non_monotonic_path,
@@ -35,8 +35,6 @@ __all__ = [
     "ChainStep",
     "Semantics",
     "Side",
-    "right_chain",
-    "left_chain",
     "Goal",
     "ExtendSide",
     "IntervalPairResult",

@@ -21,13 +21,13 @@ vectorized mask operations; exploration runs thousands of counts.  The
 index also holds the presence as packed, time-major bit rows, so one
 time point of every entity is a few contiguous uint64 words.
 
-:class:`ChainEvaluator` goes one step further for the exploration
-workload itself: along one semi-lattice extension chain, consecutive
-pairs differ by exactly one base time point, so the extended side's
-qualification mask can be maintained with a single OR/AND per step
-instead of re-reducing the whole growing window.  The Table-1
-strategies advance every live chain of a reference range by one depth
-at a time over the packed rows, and count with ``np.bitwise_count``.
+:class:`ChainEvaluator` runs the exploration workload itself: along one
+semi-lattice extension chain, consecutive pairs differ by exactly one
+base time point, so the extended side's packed row is maintained with a
+single OR/AND per step instead of re-reducing the whole growing window.
+The Table-1 strategies advance every live chain of a reference range by
+one depth at a time over the packed rows, and count with
+``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from ..core import Interval, TemporalGraph
-from ..core.fast import check_no_dangling_edges, static_codes, window_cells
+from ..core.fast import _distinct, check_no_dangling_edges, static_codes, window_cells
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
@@ -55,6 +55,9 @@ __all__ = [
     "event_mask_from",
     "static_match_mask",
 ]
+
+#: Packed rows of the old and of the new side, one row per chain.
+_Pair = tuple[np.ndarray, np.ndarray]
 
 #: Sentinel tuple code for a key whose tuple never occurs in the graph:
 #: distinct from every assigned code (>= 0) and from the "entity absent"
@@ -333,12 +336,9 @@ class EventCounter:
     # Side qualification
     # ------------------------------------------------------------------
 
-    def _presence(self) -> np.ndarray:
-        return self._presence_matrix
-
     def _qualify(self, side: Side) -> np.ndarray:
         """Boolean entity mask: qualifies on this side (ANY vs ALL)."""
-        window = self._presence()[:, side.interval.start : side.interval.stop + 1]
+        window = self._presence_matrix[:, side.interval.start : side.interval.stop + 1]
         if side.semantics is Semantics.UNION:
             return window.any(axis=1)
         return window.all(axis=1)
@@ -368,12 +368,8 @@ class EventCounter:
     def count_for_mask(
         self, event: EventType, old: Side, new: Side, mask: np.ndarray
     ) -> int:
-        """``result(G)`` given a precomputed event-entity mask.
-
-        The mask must be the one :meth:`event_mask` would return for the
-        same pair; :class:`ChainEvaluator` maintains it incrementally
-        along extension chains instead of recomputing it per pair.
-        """
+        """``result(G)`` given a precomputed event-entity mask: the one
+        :meth:`event_mask` returns for the same pair."""
         if self._match_mask is not None:
             return int((mask & self._match_mask).sum())
         if self._all_static:
@@ -383,7 +379,7 @@ class EventCounter:
     @property
     def _counts_appearances(self) -> bool:
         """Whether a count is the number of distinct ``(entity, tuple)``
-        appearances (time-varying attributes, no key): an ``np.unique``
+        appearances (time-varying attributes, no key): a distinct count
         per pair, which no popcount can give."""
         return not self._all_static and self.key is None
 
@@ -445,8 +441,8 @@ class EventCounter:
 
         Pure masked numpy reductions over the precomputed tuple-code
         matrix: a key count is one equality + ``any`` per entity row, a
-        keyless count one ``np.unique`` over the masked (entity, code)
-        ids.
+        keyless count one sort-based distinct over the masked (entity,
+        code) ids.
         """
         codes = self._codes
         if codes is None:  # pragma: no cover - guarded by count_for_mask
@@ -454,7 +450,7 @@ class EventCounter:
         window = self._event_window_indices(event, old, new)
         window_codes = codes[:, window]
         valid = (
-            self._presence()[:, window]
+            self._presence_matrix[:, window]
             & (window_codes >= 0)
             & mask[:, None]
         )
@@ -463,191 +459,54 @@ class EventCounter:
             return int(hits.any(axis=1).sum())
         rows, cols = np.nonzero(valid)
         ids = rows * self._code_stride + window_codes[rows, cols]
-        return int(np.unique(ids).size)
+        return int(_distinct(ids).size)
 
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One evaluated interval pair along an extension chain."""
+    """One evaluated interval pair along an extension chain, as
+    :class:`repro.streaming.ExplorationView` and the per-pair oracle
+    record it."""
 
     old: Side
     new: Side
     count: int
-    #: The event-entity mask the count was reduced from (parity-tested
-    #: against :meth:`EventCounter.event_mask`).
+    #: The event-entity mask the count was reduced from.
     mask: np.ndarray
 
 
 class ChainEvaluator:
-    """Incremental ``result(G)`` evaluation along semi-lattice chains.
+    """``result(G)`` along semi-lattice chains, over the counter's packed
+    time-major rows.
 
     One exploration run evaluates thousands of interval pairs, but the
     pairs are not independent: along one extension chain the reference
     side never changes and the extended side grows by exactly one base
-    time point per step.  The evaluator exploits both facts —
+    time point per step.  So the reference side's row is gathered
+    **once per chain**, and each extension is a single OR (union
+    semantics) or AND (intersection semantics) with one packed presence
+    row.  Every live chain of a reference range advances one depth per
+    iteration, and every pair at that depth is counted together
+    (:meth:`walk_depths`, which the other chain walks run on); the
+    degenerate Table-1 strategies count all their pairs in one batch
+    (:meth:`walk_consecutive`, :meth:`walk_longest`).
 
-    * the reference side's qualification mask is computed **once per
-      chain** instead of once per pair;
-    * the extended side's mask is maintained **incrementally**: each
-      semi-lattice extension is a single OR (union semantics) or AND
-      (intersection semantics) with one presence column, O(entities)
-      instead of O(entities x span).
-
-    :meth:`chain` walks one reference's chain lazily, a pair at a time.
-    The Table-1 strategies use the batched walks instead
-    (:meth:`walk_chains`, :meth:`walk_consecutive`,
-    :meth:`walk_longest`): over the counter's packed time-major rows,
-    every live chain of a reference range advances one depth per
-    iteration, and every pair at that depth is counted together.
-
-    ``incremental=False`` recomputes both side masks from scratch at
-    every step — the naive per-pair path the seed implementation used.
-    Both modes produce bit-identical masks and counts (asserted by the
-    parity suite); the flag exists for parity testing and for the
-    old-vs-new rows of ``benchmarks/bench_exploration_scaling.py``.
+    The per-pair path, which re-reduces both side masks for every pair,
+    is the parity oracle in :mod:`repro.testing.reference`.
     """
 
-    def __init__(
-        self,
-        counter: EventCounter,
-        event: EventType,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, counter: EventCounter, event: EventType) -> None:
         self.counter = counter
         self.event = event
-        self.incremental = incremental
-
-    # ------------------------------------------------------------------
-    # Mask primitives (also used by the two-sided explorer)
-    # ------------------------------------------------------------------
-
-    def _presence(self) -> np.ndarray:
-        return self.counter._presence()
-
-    def point_mask(self, index: int) -> np.ndarray:
-        """The presence column of one base time point."""
-        return self._presence()[:, index]
-
-    def extend_side_mask(
-        self, mask: np.ndarray, index: int, semantics: Semantics
-    ) -> np.ndarray:
-        """The mask of a side extended by the base point ``index`` —
-        one OR/AND with a single presence column."""
-        column = self.point_mask(index)
-        if semantics is Semantics.UNION:
-            return mask | column
-        return mask & column
-
-    def _step(
-        self,
-        old: Side,
-        new: Side,
-        old_mask: np.ndarray | None,
-        new_mask: np.ndarray | None,
-    ) -> ChainStep:
-        if not self.incremental or old_mask is None or new_mask is None:
-            old_mask = self.counter._qualify(old)
-            new_mask = self.counter._qualify(new)
-        mask = event_mask_from(self.event, old_mask, new_mask)
-        count = self.counter.count_for_mask(self.event, old, new, mask)
-        get_metrics().inc("exploration.chain_steps")
-        return ChainStep(old, new, count, mask)
-
-    def pair_count(
-        self,
-        old: Side,
-        new: Side,
-        old_mask: np.ndarray | None = None,
-        new_mask: np.ndarray | None = None,
-    ) -> int:
-        """``result(G)`` for one explicit pair, reusing caller-maintained
-        side masks when given (the two-sided explorer's entry point)."""
-        return self._step(old, new, old_mask, new_mask).count
-
-    # ------------------------------------------------------------------
-    # Chain walks (the Table-1 strategies' inner loops)
-    # ------------------------------------------------------------------
-
-    def chain(
-        self, reference: int, extend: ExtendSide, semantics: Semantics
-    ) -> Iterator[ChainStep]:
-        """The extension chain of one reference point, lazily evaluated.
-
-        Extending NEW: the reference is the old point ``reference`` and
-        the new side runs ``[reference+1]``, ``[reference+1..reference+2]``,
-        ...  Extending OLD: the reference is the new point
-        ``reference + 1`` and the old side runs ``[reference]``,
-        ``[reference-1..reference]``, ...  Laziness matters: U-Explore
-        and I-Explore prune the tail of the chain, and no pruned step is
-        ever evaluated.
-        """
-        presence = self._presence()
-        n_times = presence.shape[1]
-        if not 0 <= reference < n_times - 1:
-            raise ExplorationError(
-                f"chain reference {reference} out of range 0..{n_times - 2}"
-            )
-        get_metrics().inc("exploration.chains")
-        if extend is ExtendSide.NEW:
-            old = Side.point(reference)
-            reference_mask = presence[:, reference]
-            extended = presence[:, reference + 1]
-            for stop in range(reference + 1, n_times):
-                if stop > reference + 1:
-                    extended = self.extend_side_mask(extended, stop, semantics)
-                yield self._step(
-                    old,
-                    Side(Interval(reference + 1, stop), semantics),
-                    reference_mask,
-                    extended,
-                )
-        else:
-            new = Side.point(reference + 1)
-            reference_mask = presence[:, reference + 1]
-            extended = presence[:, reference]
-            for start in range(reference, -1, -1):
-                if start < reference:
-                    extended = self.extend_side_mask(extended, start, semantics)
-                yield self._step(
-                    Side(Interval(start, reference), semantics),
-                    new,
-                    extended,
-                    reference_mask,
-                )
-
-    def consecutive(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[ChainStep]:
-        """Consecutive point pairs ``(T_i, T_{i+1})``, one pair at a time
-        -- the per-pair oracle of :meth:`walk_consecutive`.  ``start`` /
-        ``stop`` bound the reference indices ``i`` (defaults: every
-        pair)."""
-        last = self._presence().shape[1] - 1 if stop is None else stop
-        for i in range(start, last):
-            yield self._step(*self._consecutive_sides(i), None, None)
-
-    def longest(
-        self, extend: ExtendSide, start: int = 0, stop: int | None = None
-    ) -> Iterator[ChainStep]:
-        """Per reference point, the longest intersection-semantics
-        extension -- the degenerate maximal cases of Table 1 -- one pair
-        at a time: the per-pair oracle of :meth:`walk_longest`.
-        ``start``/``stop`` bound the reference indices."""
-        last = self._presence().shape[1] - 1 if stop is None else stop
-        for i in range(start, last):
-            yield self._step(*self._longest_sides(extend, i), None, None)
-
-    # ------------------------------------------------------------------
-    # Batched walks (the Table-1 strategies over a reference range)
-    # ------------------------------------------------------------------
 
     @staticmethod
-    def _chain_sides(
+    def chain_sides(
         reference: int, depth: int, extend: ExtendSide, semantics: Semantics
     ) -> tuple[Side, Side]:
-        """The pair at ``depth`` (from 1) of a reference's chain, equal
-        to the one :meth:`chain` builds: a one-point extended side keeps
-        the chain's semantics."""
+        """The pair at ``depth`` (from 1) of a reference's chain: the
+        point ``reference`` against ``[reference+1..reference+depth]``
+        (extending NEW), or ``[reference+1-depth..reference]`` against the
+        point ``reference + 1`` (extending OLD)."""
         if extend is ExtendSide.NEW:
             extended = Side(Interval(reference + 1, reference + depth), semantics)
             return Side.point(reference), extended
@@ -661,8 +520,96 @@ class ChainEvaluator:
     def _longest_sides(self, extend: ExtendSide, i: int) -> tuple[Side, Side]:
         if extend is ExtendSide.OLD:
             return Side(Interval(0, i), Semantics.INTERSECTION), Side.point(i + 1)
-        last = self._presence().shape[1] - 1
+        last = self.counter._rows.shape[0] - 1
         return Side.point(i), Side(Interval(i + 1, last), Semantics.INTERSECTION)
+
+    # ------------------------------------------------------------------
+    # Chain walks, one depth at a time
+    # ------------------------------------------------------------------
+
+    def walk_depths(
+        self, start: int, stop: int, extend: ExtendSide, semantics: Semantics
+    ) -> Iterator[tuple[int, np.ndarray, _Pair, _Pair, np.ndarray]]:
+        """The chains of references ``start .. stop-1``, one depth at a
+        time: per depth from 1, ``(depth, live, (old, new), (old hits, new
+        hits), retire)`` -- the live chains' positions in the range,
+        ascending, and their packed side rows and key hits (ORed whatever
+        the semantics), which the next step updates in place.  A step
+        extends every live chain by one base point: one gather of packed
+        rows and one OR/AND across all of them.
+
+        A chain retires when it runs out, or when the caller sets its
+        entry of ``retire`` (all ``False``, one per live chain): the
+        U-/I-Explore pruning, whose skipped pairs count as
+        ``exploration.pruned_steps``.
+        """
+        counter = self.counter
+        rows, hit_rows = counter._rows, counter._hit_rows
+        n_times = rows.shape[0]
+        references = np.arange(start, stop)
+        if references.size and not 0 <= start < stop < n_times:
+            raise ExplorationError(f"chain references {start}..{stop - 1} out of range")
+        # Per chain: the reference point, the extended side's nearest
+        # point, the step to its next one, and the chain's length.
+        if extend is ExtendSide.NEW:
+            anchors, nearest, direction = references, references + 1, 1
+            capacity = n_times - 1 - references
+        else:
+            anchors, nearest, direction = references + 1, references, -1
+            capacity = references + 1
+        extend_rows: np.ufunc = (
+            np.bitwise_or if semantics is Semantics.UNION else np.bitwise_and
+        )
+        live = np.arange(references.size)
+        anchor, extended = rows[anchors], rows[nearest]
+        anchor_hits, extended_hits = hit_rows[anchors], hit_rows[nearest]
+        steps = pruned = 0
+        depth = 1
+        try:
+            while live.size:
+                if depth > 1:
+                    points = nearest[live] + direction * (depth - 1)
+                    extend_rows(extended, rows[points], out=extended)
+                    np.bitwise_or(extended_hits, hit_rows[points], out=extended_hits)
+                steps += live.size
+                retire = np.zeros(live.size, dtype=bool)
+                if extend is ExtendSide.NEW:
+                    pair, hits = (anchor, extended), (anchor_hits, extended_hits)
+                else:
+                    pair, hits = (extended, anchor), (extended_hits, anchor_hits)
+                yield depth, live, pair, hits, retire
+                retire |= capacity[live] == depth
+                if retire.any():
+                    pruned += int((capacity[live[retire]] - depth).sum())
+                    keep = ~retire
+                    live, anchor, extended = live[keep], anchor[keep], extended[keep]
+                    anchor_hits, extended_hits = anchor_hits[keep], extended_hits[keep]
+                depth += 1
+        finally:
+            metrics = get_metrics()
+            if references.size:
+                metrics.inc("exploration.chains", int(references.size))
+                metrics.inc("exploration.chain_steps", steps)
+            if pruned:
+                metrics.inc("exploration.pruned_steps", pruned)
+
+    def walk_counts(
+        self, start: int, stop: int, extend: ExtendSide, semantics: Semantics
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`walk_depths` with the ``int64`` count of every live
+        chain at each depth: ``(depth, live, counts, retire)``."""
+        counter = self.counter
+        for depth, live, pair, hits, retire in self.walk_depths(
+            start, stop, extend, semantics
+        ):
+            sides = []
+            if counter._counts_appearances:
+                sides = [
+                    self.chain_sides(reference, depth, extend, semantics)
+                    for reference in (start + live).tolist()
+                ]
+            counts = counter._packed_counts(self.event, *pair, hits, sides)
+            yield depth, live, counts, retire
 
     def walk_chains(
         self,
@@ -673,84 +620,67 @@ class ChainEvaluator:
         k: int,
     ) -> tuple[list[tuple[Side, Side, int]], int]:
         """U-Explore (union semantics) or I-Explore (intersection) over
-        the chains of references ``start .. stop-1``, one depth at a time.
+        the chains of references ``start .. stop-1``: a chain retires at
+        its first pair reaching ``k`` (U-Explore, reporting it) or at its
+        first failure (I-Explore, reporting the last pass).  Returns the
+        reported ``(old, new, count)`` triples in reference order and the
+        number of pairs evaluated."""
+        return self._walk(start, stop, extend, semantics, k, prune=True)
 
-        Each iteration extends every live chain by one base point -- one
-        gather of packed rows and one OR/AND across all of them -- and
-        counts every pair at that depth together.  U-Explore retires a
-        chain at its first pair reaching ``k`` (the reported one);
-        I-Explore retires it at its first failure and reports the last
-        passing pair.  Either retires a chain that runs out.  So exactly
-        the pairs :meth:`chain`'s per-step walk would evaluate are
-        evaluated.  Returns the reported ``(old, new, count)`` triples in
-        reference order and the number of pairs evaluated.
-        """
-        counter = self.counter
-        # A time-varying key's hits ride along, ORed whatever the
-        # semantics.
-        rows, hit_rows = counter._rows, counter._hit_rows
-        n_times = rows.shape[0]
-        references = np.arange(start, stop)
-        # Per chain: the reference point, the extended side's nearest
-        # point, the step to its next one, and the chain's length.
-        if extend is ExtendSide.NEW:
-            anchors, nearest, direction = references, references + 1, 1
-            capacity = n_times - 1 - references
-        else:
-            anchors, nearest, direction = references + 1, references, -1
-            capacity = references + 1
+    def walk_exhaustive(
+        self,
+        start: int,
+        stop: int,
+        extend: ExtendSide,
+        semantics: Semantics,
+        k: int,
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
+        """:meth:`walk_chains` unpruned: a chain reports its first pair
+        reaching ``k`` under union semantics (the minimal one, Definition
+        3.4) or its last under intersection (the maximal one, 3.5)."""
+        return self._walk(start, stop, extend, semantics, k, prune=False)
+
+    def _walk(
+        self,
+        start: int,
+        stop: int,
+        extend: ExtendSide,
+        semantics: Semantics,
+        k: int,
+        prune: bool,
+    ) -> tuple[list[tuple[Side, Side, int]], int]:
         union = semantics is Semantics.UNION
-        extend_rows: np.ufunc = np.bitwise_or if union else np.bitwise_and
-        live = np.arange(references.size)
-        anchor, extended = rows[anchors], rows[nearest]
-        anchor_hits, extended_hits = hit_rows[anchors], hit_rows[nearest]
-        found_depth = np.zeros(references.size, dtype=np.intp)
-        found_count = np.zeros(references.size, dtype=np.int64)
-        evaluations = pruned = 0
-        depth = 1
-        while live.size:
-            if depth > 1:
-                points = nearest[live] + direction * (depth - 1)
-                extend_rows(extended, rows[points], out=extended)
-                np.bitwise_or(extended_hits, hit_rows[points], out=extended_hits)
-            sides: list[tuple[Side, Side]] = []
-            if counter._counts_appearances:
-                sides = [
-                    self._chain_sides(reference, depth, extend, semantics)
-                    for reference in references[live].tolist()
-                ]
-            if extend is ExtendSide.NEW:
-                pair, hits = (anchor, extended), (anchor_hits, extended_hits)
-            else:
-                pair, hits = (extended, anchor), (extended_hits, anchor_hits)
-            counts = counter._packed_counts(self.event, *pair, hits, sides)
+        size = max(0, stop - start)
+        found_depth = np.zeros(size, dtype=np.intp)
+        found_count = np.zeros(size, dtype=np.int64)
+        evaluations = 0
+        for depth, live, counts, retire in self.walk_counts(
+            start, stop, extend, semantics
+        ):
             evaluations += live.size
             passed = counts >= k
+            # A union chain reports its first passing pair, an
+            # intersection chain its last; pruned, either stops there.
+            if prune:
+                retire |= passed if union else ~passed
+            elif union:
+                passed &= found_depth[live] == 0
             found_depth[live[passed]] = depth
             found_count[live[passed]] = counts[passed]
-            retired = (passed if union else ~passed) | (capacity[live] == depth)
-            if retired.any():
-                pruned += int((capacity[live[retired]] - depth).sum())
-                keep = ~retired
-                live, anchor, extended = live[keep], anchor[keep], extended[keep]
-                anchor_hits, extended_hits = anchor_hits[keep], extended_hits[keep]
-            depth += 1
-        metrics = get_metrics()
-        if references.size:
-            metrics.inc("exploration.chains", int(references.size))
-            metrics.inc("exploration.chain_steps", evaluations)
-        if pruned:
-            metrics.inc("exploration.pruned_steps", pruned)
-        found = np.flatnonzero(found_depth)
+        chains = np.flatnonzero(found_depth)
         pairs = [
-            (*self._chain_sides(reference, depth, extend, semantics), count)
+            (*self.chain_sides(reference, depth, extend, semantics), count)
             for reference, depth, count in zip(
-                references[found].tolist(),
-                found_depth[found].tolist(),
-                found_count[found].tolist(),
+                (start + chains).tolist(),
+                found_depth[chains].tolist(),
+                found_count[chains].tolist(),
             )
         ]
         return pairs, evaluations
+
+    # ------------------------------------------------------------------
+    # Batched pairs (the degenerate Table-1 strategies)
+    # ------------------------------------------------------------------
 
     def consecutive_counts(
         self, start: int = 0, stop: int | None = None

@@ -30,9 +30,8 @@ extension can be maximal.
 
 All strategies run through :class:`~repro.exploration.events.ChainEvaluator`,
 whose batched walks advance every chain of a reference range one depth
-at a time over packed presence rows; pass ``incremental=False`` to force
-the naive re-reduce-every-pair path (bit-identical results, used by the
-parity suite and the scaling benchmark).
+at a time over packed presence rows.  The per-pair walks they replaced
+are the parity oracle (:func:`repro.testing.reference.explore_reference`).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core import TemporalGraph
-from .events import ChainEvaluator, ChainStep, EntityKind, EventCounter, EventType
+from .events import ChainEvaluator, EntityKind, EventCounter, EventType
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
@@ -137,138 +136,29 @@ class ExplorationResult:
         )
 
 
-def _pair(step: ChainStep) -> IntervalPairResult:
-    return IntervalPairResult(step.old, step.new, step.count)
-
-
-def _chain_capacity(n_times: int, reference: int, extend: ExtendSide) -> int:
-    """How many pairs the full (unpruned) chain of a reference holds."""
-    if extend is ExtendSide.NEW:
-        return n_times - 1 - reference
-    return reference + 1
-
-
-def _record_pruning(
-    n_times: int, reference: int, extend: ExtendSide, taken: int
-) -> None:
-    """Credit the monotonicity pruning with the chain steps it skipped."""
-    skipped = _chain_capacity(n_times, reference, extend) - taken
-    if skipped > 0:
-        get_metrics().inc("exploration.pruned_steps", skipped)
-
-
 # ----------------------------------------------------------------------
 # Strategies
 #
-# Each Table-1 strategy walks every reference point of the timeline: the
-# incremental path is one batched ChainEvaluator walk over the whole
-# reference range, the naive one a per-step loop per reference.  A
-# strategy returns the reported pairs in reference order and the number
-# of pairs it evaluated.
+# Each Table-1 strategy is one batched ChainEvaluator walk over every
+# reference point of the timeline, returning the reported pairs in
+# reference order and the number of pairs it evaluated.
 # ----------------------------------------------------------------------
 
-_Found = tuple[list[IntervalPairResult], int]
+_Walk = tuple[list[tuple[Side, Side, int]], int]
 
 
-def _reported(walk: tuple[list[tuple[Side, Side, int]], int]) -> _Found:
-    """A batched walk's ``(old, new, count)`` triples as results."""
-    found, evaluations = walk
-    return [IntervalPairResult(*pair) for pair in found], evaluations
-
-
-def _evaluator(
-    counter: EventCounter, event: EventType, incremental: bool
-) -> tuple[ChainEvaluator, int]:
+def _evaluator(counter: EventCounter, event: EventType) -> tuple[ChainEvaluator, int]:
     """The chain evaluator of a run and its number of reference points."""
-    references = max(0, counter._presence().shape[1] - 1)
-    return ChainEvaluator(counter, event, incremental=incremental), references
+    references = max(0, counter._rows.shape[0] - 1)
+    return ChainEvaluator(counter, event), references
 
 
 def _result(
-    event: EventType, goal: Goal, extend: ExtendSide, k: int, found: _Found
+    event: EventType, goal: Goal, extend: ExtendSide, k: int, walk: _Walk
 ) -> ExplorationResult:
-    pairs, evaluations = found
-    return ExplorationResult(event, goal, extend, k, tuple(pairs), evaluations)
-
-
-def _u_strategy(
-    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
-) -> _Found:
-    """U-Explore over every reference point."""
-    if evaluator.incremental:
-        return _reported(
-            evaluator.walk_chains(0, references, extend, Semantics.UNION, k)
-        )
-    n_times = len(evaluator.counter.graph.timeline)
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for reference in range(references):
-        taken = 0
-        for step in evaluator.chain(reference, extend, Semantics.UNION):
-            taken += 1
-            evaluations += 1
-            if step.count >= k:
-                pairs.append(_pair(step))
-                break
-        _record_pruning(n_times, reference, extend, taken)
-    return pairs, evaluations
-
-
-def _i_strategy(
-    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
-) -> _Found:
-    """I-Explore over every reference point."""
-    if evaluator.incremental:
-        return _reported(
-            evaluator.walk_chains(0, references, extend, Semantics.INTERSECTION, k)
-        )
-    n_times = len(evaluator.counter.graph.timeline)
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for reference in range(references):
-        candidate: IntervalPairResult | None = None
-        taken = 0
-        for step in evaluator.chain(reference, extend, Semantics.INTERSECTION):
-            taken += 1
-            evaluations += 1
-            if step.count >= k:
-                candidate = _pair(step)
-            else:
-                break
-        _record_pruning(n_times, reference, extend, taken)
-        if candidate is not None:
-            pairs.append(candidate)
-    return pairs, evaluations
-
-
-def _consecutive_strategy(
-    evaluator: ChainEvaluator, k: int, references: int
-) -> _Found:
-    """Consecutive-pairs strategy over every reference point."""
-    if evaluator.incremental:
-        return _reported(evaluator.walk_consecutive(0, references, k))
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for step in evaluator.consecutive(0, references):
-        evaluations += 1
-        if step.count >= k:
-            pairs.append(_pair(step))
-    return pairs, evaluations
-
-
-def _longest_strategy(
-    evaluator: ChainEvaluator, extend: ExtendSide, k: int, references: int
-) -> _Found:
-    """Longest-extension strategy over every reference point."""
-    if evaluator.incremental:
-        return _reported(evaluator.walk_longest(extend, 0, references, k))
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for step in evaluator.longest(extend, 0, references):
-        evaluations += 1
-        if step.count >= k:
-            pairs.append(_pair(step))
-    return pairs, evaluations
+    found, evaluations = walk
+    pairs = tuple([IntervalPairResult(*pair) for pair in found])
+    return ExplorationResult(event, goal, extend, k, pairs, evaluations)
 
 
 def u_explore(
@@ -276,8 +166,6 @@ def u_explore(
     event: EventType,
     extend: ExtendSide,
     k: int,
-    *,
-    incremental: bool = True,
 ) -> ExplorationResult:
     """Union Exploration (Section 3.2): minimal pairs with >= k events.
 
@@ -286,9 +174,9 @@ def u_explore(
     ``k`` is the minimal one for its reference point and the rest of the
     chain is pruned.
     """
-    evaluator, references = _evaluator(counter, event, incremental)
-    found = _u_strategy(evaluator, extend, k, references)
-    return _result(event, Goal.MINIMAL, extend, k, found)
+    evaluator, references = _evaluator(counter, event)
+    walk = evaluator.walk_chains(0, references, extend, Semantics.UNION, k)
+    return _result(event, Goal.MINIMAL, extend, k, walk)
 
 
 def i_explore(
@@ -296,8 +184,6 @@ def i_explore(
     event: EventType,
     extend: ExtendSide,
     k: int,
-    *,
-    incremental: bool = True,
 ) -> ExplorationResult:
     """Intersection Exploration (Section 3.2): maximal pairs with >= k.
 
@@ -307,9 +193,9 @@ def i_explore(
     the first failure.  References whose shortest pair already fails are
     pruned entirely (step 2 of the paper's algorithm).
     """
-    evaluator, references = _evaluator(counter, event, incremental)
-    found = _i_strategy(evaluator, extend, k, references)
-    return _result(event, Goal.MAXIMAL, extend, k, found)
+    evaluator, references = _evaluator(counter, event)
+    walk = evaluator.walk_chains(0, references, extend, Semantics.INTERSECTION, k)
+    return _result(event, Goal.MAXIMAL, extend, k, walk)
 
 
 def explore(
@@ -322,7 +208,6 @@ def explore(
     attributes: Sequence[str] = (),
     key: Any = None,
     *,
-    incremental: bool = True,
     counter: EventCounter | None = None,
 ) -> ExplorationResult:
     """Run one of the eight Table-1 exploration cases.
@@ -340,9 +225,6 @@ def explore(
         What to count — e.g. ``entity=EDGES, attributes=["gender"],
         key=(("f",), ("f",))`` counts female-female edges as in the
         paper's Figures 13/14.
-    incremental:
-        Evaluate chains incrementally (the default) or naively per pair;
-        the results are identical, only the cost differs.
     counter:
         A prebuilt counter for exactly this graph, entity, attribute list
         and key -- the query planner passes one sharing its cube's index
@@ -376,43 +258,18 @@ def explore(
         widening = event is EventType.STABILITY or (
             (extend is ExtendSide.NEW) == (event is EventType.GROWTH)
         )
-        evaluator, references = _evaluator(counter, event, incremental)
+        evaluator, references = _evaluator(counter, event)
         if goal is Goal.MINIMAL and widening:
-            found = _u_strategy(evaluator, extend, k, references)
+            walk = evaluator.walk_chains(0, references, extend, Semantics.UNION, k)
         elif goal is Goal.MINIMAL:
-            found = _consecutive_strategy(evaluator, k, references)
+            walk = evaluator.walk_consecutive(0, references, k)
         elif widening:
-            found = _i_strategy(evaluator, extend, k, references)
+            walk = evaluator.walk_chains(
+                0, references, extend, Semantics.INTERSECTION, k
+            )
         else:
-            found = _longest_strategy(evaluator, extend, k, references)
-        return _result(event, goal, extend, k, found)
-
-
-def _exhaustive_strategy(
-    evaluator: ChainEvaluator, goal: Goal, extend: ExtendSide, k: int, references: int
-) -> _Found:
-    """The oracle explorer's unpruned walk over every reference point."""
-    semantics = Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for reference in range(references):
-        passing: list[IntervalPairResult] = []
-        for step in evaluator.chain(reference, extend, semantics):
-            evaluations += 1
-            if step.count >= k:
-                passing.append(_pair(step))
-        if not passing:
-            continue
-        if goal is Goal.MINIMAL:
-            # Definition 3.4: the shortest passing extension — no proper
-            # sub-extension passes.  Chains yield in increasing length,
-            # so that is the first passing pair.
-            pairs.append(passing[0])
-        else:
-            # Definition 3.5: the longest passing extension — no proper
-            # super-extension passes.  That is the last passing pair.
-            pairs.append(passing[-1])
-    return pairs, evaluations
+            walk = evaluator.walk_longest(extend, 0, references, k)
+        return _result(event, goal, extend, k, walk)
 
 
 def exhaustive_explore(
@@ -424,11 +281,10 @@ def exhaustive_explore(
     entity: EntityKind = EntityKind.EDGES,
     attributes: Sequence[str] = (),
     key: Any = None,
-    *,
-    incremental: bool = True,
 ) -> ExplorationResult:
     """Oracle explorer: evaluates *every* pair in the case's candidate
-    space and selects minimal/maximal pairs by definition.
+    space and selects minimal/maximal pairs by definition (the first or
+    last passing pair of each chain, in one unpruned walk).
 
     Used to validate the pruned strategies in tests, and as the baseline
     of the pruning-ablation benchmark.  The semantics of the extended
@@ -446,6 +302,9 @@ def exhaustive_explore(
         k=k,
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        evaluator, references = _evaluator(counter, event, incremental)
-        found = _exhaustive_strategy(evaluator, goal, extend, k, references)
-        return _result(event, goal, extend, k, found)
+        evaluator, references = _evaluator(counter, event)
+        semantics = (
+            Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
+        )
+        walk = evaluator.walk_exhaustive(0, references, extend, semantics, k)
+        return _result(event, goal, extend, k, walk)

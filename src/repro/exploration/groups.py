@@ -3,12 +3,13 @@
 The paper's exploration fixes one aggregate entity (e.g. female-female
 edges) and searches intervals.  Its conclusions name the dual as future
 work: "detect intervals *and attribute groups* of interest".  This
-module implements it: a multi-group U-/I-Explore that walks each
-reference point's extension chain **once**, computing event counts for
-*every* aggregate group simultaneously (one ``bincount`` over
-precomputed group ids per candidate pair instead of one full scan per
-group), and reports per group the minimal/maximal pair at which it
-crosses the threshold.
+module implements it: a multi-group U-/I-Explore that walks every
+reference point's extension chain **once**, one depth at a time over
+the counter's packed rows, computing event counts for *every* aggregate
+group of every live chain together (one sum per group over the entities
+in group order per depth, instead of one full scan per group), and
+reports per group the minimal/maximal pair at which it crosses the
+threshold.
 
 Only static grouping attributes are supported — group membership must
 be time-invariant for a single per-entity group id to exist.
@@ -24,7 +25,13 @@ import numpy as np
 
 from ..core import TemporalGraph
 from ..core.fast import check_no_dangling_edges
-from .events import ChainEvaluator, EntityKind, EventCounter, EventType
+from .events import (
+    ChainEvaluator,
+    EntityKind,
+    EventCounter,
+    EventType,
+    event_mask_from,
+)
 from .explore import ExtendSide, Goal, IntervalPairResult
 from .lattice import Semantics
 from ..errors import ExplorationError
@@ -63,50 +70,57 @@ class GroupExplorationResult:
         return max(pairs, key=lambda p: p.count)
 
 
-class _GroupCounter:
-    """Per-entity group ids over an event counter's static tuple codes,
-    for one ``bincount`` per candidate pair."""
+def _group_counter(
+    graph: TemporalGraph, entity: EntityKind, attributes: Sequence[str]
+) -> tuple[EventCounter, list[Any], np.ndarray, np.ndarray]:
+    """An event counter over static grouping attributes, its group keys
+    (sorted by their string form), the entities in group order and the
+    position in that order where each group starts."""
+    if not attributes:
+        raise ExplorationError("group exploration needs grouping attributes")
+    for name in attributes:
+        if not graph.is_static(name):
+            raise ExplorationError(
+                f"group exploration requires static attributes; "
+                f"{name!r} is time-varying"
+            )
+    if entity is EntityKind.EDGES:
+        check_no_dangling_edges(graph, error=ExplorationError)
+    counter = EventCounter(graph, entity, attributes)
+    codes, tuples = counter._codes, counter._tuples
+    assert codes is not None
+    base = max(1, len(tuples))
+    # A dangling edge absent from every point (code -1) never
+    # qualifies: it joins no group, and its id 0 is never counted.
+    resolved = codes >= 0
+    distinct, inverse = np.unique(codes[resolved], return_inverse=True)
+    keys = [
+        tuples[c]
+        if entity is EntityKind.NODES
+        else (tuples[c // base], tuples[c % base])
+        for c in distinct.tolist()
+    ]
+    order = sorted(range(len(keys)), key=lambda i: str(keys[i]))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys))
+    group_ids = np.zeros(codes.size, dtype=np.int64)
+    group_ids[resolved] = rank[inverse]
+    entities = np.argsort(group_ids, kind="stable")
+    starts = np.searchsorted(group_ids[entities], np.arange(len(keys)))
+    return counter, [keys[i] for i in order], entities, starts
 
-    def __init__(
-        self,
-        graph: TemporalGraph,
-        entity: EntityKind,
-        attributes: Sequence[str],
-    ) -> None:
-        if not attributes:
-            raise ExplorationError("group exploration needs grouping attributes")
-        for name in attributes:
-            if not graph.is_static(name):
-                raise ExplorationError(
-                    f"group exploration requires static attributes; "
-                    f"{name!r} is time-varying"
-                )
-        if entity is EntityKind.EDGES:
-            check_no_dangling_edges(graph, error=ExplorationError)
-        self.events = EventCounter(graph, entity, attributes)
-        codes, tuples = self.events._codes, self.events._tuples
-        assert codes is not None
-        base = max(1, len(tuples))
-        # A dangling edge absent from every point (code -1) never
-        # qualifies: it joins no group, and its id 0 is never counted.
-        resolved = codes >= 0
-        distinct, inverse = np.unique(codes[resolved], return_inverse=True)
-        keys = [
-            tuples[c]
-            if entity is EntityKind.NODES
-            else (tuples[c // base], tuples[c % base])
-            for c in distinct.tolist()
-        ]
-        order = sorted(range(len(keys)), key=lambda i: str(keys[i]))
-        self.group_keys: list[Any] = [keys[i] for i in order]
-        rank = np.empty(len(keys), dtype=np.int64)
-        rank[order] = np.arange(len(keys))
-        self.group_ids = np.zeros(codes.size, dtype=np.int64)
-        self.group_ids[resolved] = rank[inverse]
 
-    def counts(self, mask: np.ndarray) -> np.ndarray:
-        """Event count per group id of an event-entity mask."""
-        return np.bincount(self.group_ids[mask], minlength=len(self.group_keys))
+def _group_counts(
+    words: np.ndarray, entities: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``(rows, groups)`` event counts of ``(rows, words)`` packed event
+    rows: each row's bits in group order, summed over each group."""
+    if not starts.size:
+        return np.zeros((len(words), 0), dtype=np.int64)
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=1, count=entities.size, bitorder="little"
+    )
+    return np.add.reduceat(bits[:, entities], starts, axis=1, dtype=np.int64)
 
 
 def explore_groups(
@@ -126,49 +140,50 @@ def explore_groups(
     """
     if k < 1:
         raise ExplorationError(f"threshold k must be positive, got {k}")
-    counter = _GroupCounter(graph, entity, attributes)
-    n_times = len(graph.timeline)
-    n_groups = len(counter.group_keys)
-    semantics = Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
-    found: dict[int, list[IntervalPairResult]] = {g: [] for g in range(n_groups)}
+    counter, group_keys, entities, starts = _group_counter(graph, entity, attributes)
+    n_groups = len(group_keys)
+    references = max(0, len(graph.timeline) - 1)
+    minimal = goal is Goal.MINIMAL
+    semantics = Semantics.UNION if minimal else Semantics.INTERSECTION
+    # Per (reference, group): the depth of the reported pair and its count.
+    found_depth = np.zeros((references, n_groups), dtype=np.intp)
+    found_count = np.zeros((references, n_groups), dtype=np.int64)
+    # A minimal chain retires once every group has crossed (so, with no
+    # group, before its first pair).  Definition 3.5 makes the maximal
+    # pair the *longest* passing extension, and some Table-1 maximal
+    # cases are monotonically increasing (a group can fail early yet
+    # pass at the longest extension), so a maximal chain is walked whole
+    # and the last passing pair kept per group.
+    walked = references if n_groups or not minimal else 0
+    evaluator = ChainEvaluator(counter, event)
     evaluations = 0
+    for depth, live, pair, _, retire in evaluator.walk_depths(
+        0, walked, extend, semantics
+    ):
+        evaluations += live.size
+        counts = _group_counts(event_mask_from(event, *pair), entities, starts)
+        passed = counts >= k
+        if minimal:
+            passed &= found_depth[live] == 0
+        chains, groups = np.nonzero(passed)
+        found_depth[live[chains], groups] = depth
+        found_count[live[chains], groups] = counts[chains, groups]
+        if minimal:
+            retire |= (found_depth[live] > 0).all(axis=1)
 
-    evaluator = ChainEvaluator(counter.events, event)
-    for ref in range(n_times - 1):
-        chain = evaluator.chain(ref, extend, semantics)
-        if goal is Goal.MINIMAL:
-            active = np.ones(n_groups, dtype=bool)
-            for step in chain:
-                if not active.any():
-                    break
-                evaluations += 1
-                counts = counter.counts(step.mask)
-                crossed = active & (counts >= k)
-                for g in np.flatnonzero(crossed):
-                    found[int(g)].append(
-                        IntervalPairResult(step.old, step.new, int(counts[g]))
-                    )
-                active &= ~crossed
-        else:
-            # Definition 3.5: the maximal pair is the *longest* passing
-            # extension.  Some Table-1 maximal cases are monotonically
-            # increasing (a group can fail early yet pass at the longest
-            # extension), so the whole chain is walked and the last
-            # passing pair kept per group.
-            candidate: dict[int, IntervalPairResult] = {}
-            for step in chain:
-                evaluations += 1
-                counts = counter.counts(step.mask)
-                for g in np.flatnonzero(counts >= k):
-                    candidate[int(g)] = IntervalPairResult(
-                        step.old, step.new, int(counts[g])
-                    )
-            for g, pair in candidate.items():
-                found[g].append(pair)
-
-    pairs_by_group = {
-        counter.group_keys[g]: tuple(pairs) for g, pairs in found.items()
-    }
+    pairs_by_group: dict[Any, tuple[IntervalPairResult, ...]] = {}
+    for g, key in enumerate(group_keys):
+        chains = np.flatnonzero(found_depth[:, g])
+        pairs_by_group[key] = tuple(
+            IntervalPairResult(
+                *evaluator.chain_sides(reference, depth, extend, semantics), count
+            )
+            for reference, depth, count in zip(
+                chains.tolist(),
+                found_depth[chains, g].tolist(),
+                found_count[chains, g].tolist(),
+            )
+        )
     return GroupExplorationResult(
         event=event,
         goal=goal,

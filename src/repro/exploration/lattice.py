@@ -16,14 +16,12 @@ meaning as a graph:
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..core import Interval, Timeline
 from ..core.intervals import TimeSet
-from ..errors import ExplorationError
 
-__all__ = ["Semantics", "Side", "ExtendSide", "right_chain", "left_chain"]
+__all__ = ["Semantics", "Side", "ExtendSide"]
 
 
 class Semantics(enum.Enum):
@@ -66,14 +64,6 @@ class Side:
     def is_point(self) -> bool:
         return self.interval.is_point
 
-    def extend_right(self) -> "Side":
-        """The right child in this side's semi-lattice."""
-        return Side(self.interval.extend_right(), self.semantics)
-
-    def extend_left(self) -> "Side":
-        """The left child in this side's semi-lattice."""
-        return Side(self.interval.extend_left(), self.semantics)
-
     def labels(self, timeline: Timeline) -> TimeSet:
         """The time-point labels this side spans on a concrete timeline.
 
@@ -89,25 +79,3 @@ class Side:
             return str(self.interval)
         return f"{self.interval}({self.semantics})"
 
-
-def right_chain(start: int, last: int, semantics: Semantics) -> Iterator[Side]:
-    """Sides ``[start..start]``, ``[start..start+1]``, ... ``[start..last]``.
-
-    The extension chain U-Explore / I-Explore walk when growing the right
-    (newer) end of a pair.
-    """
-    if last < start:
-        raise ExplorationError(f"chain end {last} precedes start {start}")
-    for stop in range(start, last + 1):
-        yield Side(Interval(start, stop), semantics)
-
-
-def left_chain(stop: int, first: int, semantics: Semantics) -> Iterator[Side]:
-    """Sides ``[stop..stop]``, ``[stop-1..stop]``, ... ``[first..stop]``.
-
-    The extension chain walked when growing the left (older) end.
-    """
-    if first > stop:
-        raise ExplorationError(f"chain start {first} exceeds end {stop}")
-    for start in range(stop, first - 1, -1):
-        yield Side(Interval(start, stop), semantics)

@@ -26,10 +26,11 @@ from typing import Any
 import numpy as np
 
 from ..core import Interval, TemporalGraph
-from .events import ChainEvaluator, EntityKind, EventCounter, EventType
+from .events import EntityKind, EventCounter, EventType
 from .explore import Goal
 from .lattice import Semantics, Side
 from ..errors import ExplorationError
+from ..obs.metrics import get_metrics
 
 __all__ = [
     "TwoSidedPair",
@@ -37,6 +38,10 @@ __all__ = [
     "find_non_monotonic_path",
     "two_sided_explore",
 ]
+
+#: Pairs counted per batch of gathered side rows, which bounds the
+#: memory of a count to a few batches of packed rows.
+_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,10 @@ def two_sided_counts(
     enumerated, so the ``max_pairs`` guard fails fast on a long timeline
     instead of materializing the doomed pair list first.
 
-    Both sides' qualification masks are maintained incrementally through
-    :class:`~repro.exploration.events.ChainEvaluator`: the old side's
-    mask extends by one column per ``old_stop`` step and is shared by
-    every new span evaluated against it.
+    Each span's packed side row is built once, by a running OR/AND over
+    the counter's time-major rows from the span's first point, and the
+    pairs are counted in batches of gathered rows.  Pairs come in
+    ``(old start, old stop, new start, new stop)`` order.
     """
     n = len(graph.timeline)
     total = math.comb(n + 2, 4)
@@ -82,34 +87,39 @@ def two_sided_counts(
             "shorten the timeline or raise max_pairs explicitly"
         )
     counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-    evaluator = ChainEvaluator(counter, event)
-    results = []
-    for old_start in range(n):
-        old_mask: np.ndarray | None = None
-        for old_stop in range(old_start, n - 1):
-            old_mask = (
-                evaluator.point_mask(old_start)
-                if old_mask is None
-                else evaluator.extend_side_mask(old_mask, old_stop, semantics)
-            )
-            old = Interval(old_start, old_stop)
-            old_side = Side(old, semantics)
-            for new_start in range(old_stop + 1, n):
-                new_mask: np.ndarray | None = None
-                for new_stop in range(new_start, n):
-                    new_mask = (
-                        evaluator.point_mask(new_start)
-                        if new_mask is None
-                        else evaluator.extend_side_mask(
-                            new_mask, new_stop, semantics
-                        )
-                    )
-                    new = Interval(new_start, new_stop)
-                    count = evaluator.pair_count(
-                        old_side, Side(new, semantics), old_mask, new_mask
-                    )
-                    results.append(TwoSidedPair(old, new, count))
-    return results
+    if not total:
+        return []
+    combine = np.bitwise_or if semantics is Semantics.UNION else np.bitwise_and
+    rows, hit_rows = counter._rows, counter._hit_rows
+    # Spans in (start, stop) order; those starting at ``a`` from first[a].
+    spans = [Interval(a, b) for a in range(n) for b in range(a, n)]
+    first = np.cumsum([0, *range(n, 0, -1)])
+    span_rows = np.concatenate([combine.accumulate(rows[a:]) for a in range(n)])
+    span_hits = np.concatenate(
+        [np.bitwise_or.accumulate(hit_rows[a:]) for a in range(n)]
+    )
+    # Every old span against every span starting after its stop.
+    pairs = [
+        (i, j)
+        for i, span in enumerate(spans)
+        for j in range(first[span.stop + 1], len(spans))
+    ]
+    counts: list[int] = []
+    for chunk in range(0, total, _BATCH):
+        batch = pairs[chunk : chunk + _BATCH]
+        old, new = np.array(batch, dtype=np.intp).T
+        sides = []
+        if counter._counts_appearances:
+            sides = [
+                (Side(spans[i], semantics), Side(spans[j], semantics))
+                for i, j in batch
+            ]
+        hits = (span_hits[old], span_hits[new])
+        counts += counter._packed_counts(
+            event, span_rows[old], span_rows[new], hits, sides
+        ).tolist()
+    get_metrics().inc("exploration.chain_steps", total)
+    return [TwoSidedPair(spans[i], spans[j], c) for (i, j), c in zip(pairs, counts)]
 
 
 def find_non_monotonic_path(

@@ -335,7 +335,7 @@ class CarriedState:
             else:
                 parent, node_rows, edge_rows, _ = source
                 rows = _taken_endpoint_rows(
-                    parent.storage.endpoint_rows(), parent.n_nodes, node_rows, edge_rows
+                    parent._endpoint_rows(), parent.n_nodes, node_rows, edge_rows
                 )
             self.endpoints = rows
             self._settle()

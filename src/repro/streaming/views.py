@@ -17,7 +17,7 @@ cover live here:
 * :class:`ExplorationView` — incremental exploration state: the
   qualification mask of the growing new side is extended by exactly one
   OR (union semantics) or AND (intersection semantics) per appended
-  point, the same single-column step :class:`ChainEvaluator` performs
+  point, the same single-row step :class:`ChainEvaluator` performs
   along a semi-lattice chain, preserving the U-/I-Explore pruning
   structure (counts stay monotone along the maintained chain).
 
@@ -217,7 +217,7 @@ class ExplorationView(StreamingView):
 
     Watches one event kind between a pinned reference point (the old
     side) and the growing window of appended points (the new side) —
-    the streaming analogue of one :meth:`ChainEvaluator.chain` walk with
+    the streaming analogue of one extension chain walked with
     ``ExtendSide.NEW``.  Per append, the new side's qualification mask
     is extended by a single OR/AND with the appended presence column,
     and the event count is re-reduced from the two masks; nothing is
@@ -356,9 +356,10 @@ class ExplorationView(StreamingView):
 
     def steps(self) -> tuple[ChainStep, ...]:
         """Every maintained chain step, oldest first — the same
-        ``(old, new, count, mask)`` records ``ChainEvaluator.chain``
-        yields for this reference on the current graph (early-step masks
-        padded with ``False`` for entities that did not exist yet)."""
+        ``(old, new, count, mask)`` records the per-pair reference chain
+        (:func:`repro.testing.reference.reference_chain`) yields for this
+        reference on the current graph (early-step masks padded with
+        ``False`` for entities that did not exist yet)."""
         return tuple(self._steps)
 
     def counts(self) -> tuple[int, ...]:

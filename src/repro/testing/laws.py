@@ -51,7 +51,7 @@ from ..materialize.streaming import AggregateTotalsView
 from ..storage.base import resolve_endpoint_rows
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
 from .generators import graph_to_maps, random_time_sets
-from .reference import aggregate_reference
+from .reference import aggregate_reference, reference_chain
 
 __all__ = ["Law", "register_law", "law_registry", "get_laws"]
 
@@ -564,16 +564,18 @@ def _lattice_monotone(graph: TemporalGraph, rng: np.random.Generator) -> str | N
     entity = (
         EntityKind.NODES if rng.integers(2) else EntityKind.EDGES
     )
-    counter = EventCounter(graph, entity=entity)
-    evaluator = ChainEvaluator(counter, event, incremental=bool(rng.integers(2)))
+    evaluator = ChainEvaluator(EventCounter(graph, entity=entity), event)
+    # The production walk's unpruned counts of the reference's chain,
+    # walked alone or as the last of every chain up to it.
+    batched = bool(rng.integers(2))
     reference = int(rng.integers(n_times - 1))
+    start = 0 if batched else reference
     for semantics, keep in (
         (Semantics.UNION, lambda prev, cur: cur >= prev),
         (Semantics.INTERSECTION, lambda prev, cur: cur <= prev),
     ):
-        counts = [
-            step.count for step in evaluator.chain(reference, extend, semantics)
-        ]
+        walk = evaluator.walk_counts(start, reference + 1, extend, semantics)
+        counts = [int(c[-1]) for _, live, c, _ in walk if live[-1] == reference - start]
         for prev, cur in zip(counts, counts[1:]):
             if not keep(prev, cur):
                 return (
@@ -897,8 +899,8 @@ def _streaming_evolution_delta(
 @register_law(
     "streaming-exploration-delta",
     "an ExplorationView grown one OR/AND per appended point matches "
-    "ChainEvaluator's chain over the final graph, early masks padded for "
-    "entities that did not exist yet",
+    "the per-pair reference chain over the final graph, early masks padded "
+    "for entities that did not exist yet",
     hostile_safe=False,
 )
 def _streaming_exploration_delta(
@@ -936,9 +938,7 @@ def _streaming_exploration_delta(
         store.append_snapshot(update)
     counter = EventCounter(store.graph, entity, attrs, key)
     chain = list(
-        ChainEvaluator(counter, event).chain(
-            reference, ExtendSide.NEW, semantics
-        )
+        reference_chain(counter, event, reference, ExtendSide.NEW, semantics)
     )
     steps = view.steps()
     if len(chain) != len(steps):

@@ -3,8 +3,8 @@
 The repo deliberately keeps several independently-optimized code paths
 per operation — the factorized kernel vs the literal Algorithm 2 and
 appearance-set references (:mod:`repro.testing.reference`), fresh
-aggregation vs materialized derivation, naive vs incremental
-exploration.  These laws run one random workload through
+aggregation vs materialized derivation, the packed exploration walks
+vs the per-pair ones.  These laws run one random workload through
 *all* variants and diff the results bit-exactly (via the ``diff`` hooks
 on :class:`~repro.core.AggregateGraph` and
 :class:`~repro.exploration.explore.ExplorationResult`).  On hostile
@@ -31,7 +31,12 @@ from ..materialize.incremental import IncrementalStore
 from ..materialize.store import MaterializedStore
 from .generators import random_time_sets
 from .laws import register_law
-from .reference import aggregate_evolution_reference, aggregation_engines
+from .reference import (
+    aggregate_evolution_reference,
+    aggregation_engines,
+    exhaustive_reference,
+    explore_reference,
+)
 
 __all__ = ["DIFFERENTIAL_LAW_NAMES"]
 
@@ -186,9 +191,10 @@ def _incremental_replay_agrees(
 
 @register_law(
     "exploration-variants-agree",
-    "incremental, naive and exhaustive exploration report the same pairs; "
-    "with time-varying attributes and keys, incremental and naive agree "
-    "exactly",
+    "explore, exhaustive_explore and their per-pair references report the "
+    "same pairs, and each production explorer equals its reference "
+    "exactly; with time-varying attributes and keys, explore and its "
+    "reference agree exactly",
     hostile_safe=False,
 )
 def _exploration_variants_agree(
@@ -217,49 +223,41 @@ def _exploration_variants_agree(
         )
         key = node_key if entity is EntityKind.NODES else (node_key, node_key)
     k = int(rng.integers(1, 4))
-    baseline = explore(
-        graph, event, goal, extend, k, entity, attrs, key, incremental=True
-    )
-    variants = {
-        "explore-naive": explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=False
-        ),
-        "exhaustive-incremental": exhaustive_explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=True
-        ),
-        "exhaustive-naive": exhaustive_explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=False
-        ),
-    }
-    for name, result in variants.items():
-        problems = baseline.diff(result)
-        if problems:
+    case = (graph, event, goal, extend, k, entity, attrs, key)
+    baseline = explore(*case)
+    for name, ours, reference in (
+        ("explore", baseline, explore_reference(*case)),
+        ("exhaustive", exhaustive_explore(*case), exhaustive_reference(*case)),
+    ):
+        for variant, result in ((name, ours), (f"{name}-reference", reference)):
+            problems = baseline.diff(result)
+            if problems:
+                return (
+                    f"explore vs {variant} on {event}/{goal}/{extend} "
+                    f"k={k} attrs={attrs!r} key={key!r}: {problems[0]}"
+                )
+        if ours != reference:
             return (
-                f"explore-incremental vs {name} on {event}/{goal}/{extend} "
-                f"k={k} attrs={attrs!r} key={key!r}: {problems[0]}"
+                f"{name} vs its reference on {event}/{goal}/{extend} k={k}: "
+                f"pair order, sides or evaluations differ: {ours} != {reference}"
             )
     # Time-varying attributes can make counts non-monotone along chains,
     # where the by-definition oracle may legitimately differ; the batched
-    # walk and the naive per-pair path must still agree exactly.
+    # walk and the per-pair reference must still agree exactly.
     varying = _pick_attributes(rng, graph)
     varying_key = (
         _draw_key(rng, graph, varying, entity)
         if varying and graph.n_nodes and rng.integers(2)
         else None
     )
-    fast, slow = (
-        explore(
-            graph, event, goal, extend, k, entity, varying, varying_key,
-            incremental=incremental,
-        )
-        for incremental in (True, False)
-    )
+    case = (graph, event, goal, extend, k, entity, varying, varying_key)
+    fast, slow = explore(*case), explore_reference(*case)
     if fast != slow:
         problems = fast.diff(slow) or (
             f"pair order, sides or evaluations differ: {fast} != {slow}",
         )
         return (
-            f"explore-incremental vs explore-naive on {event}/{goal}/{extend} "
+            f"explore vs explore-reference on {event}/{goal}/{extend} "
             f"k={k} attrs={varying!r} key={varying_key!r}: {problems[0]}"
         )
     return None

@@ -6,14 +6,24 @@ literally: the differential laws of :mod:`repro.testing.oracle` diff the
 kernel against it, and the Figure 5-9 drivers (:mod:`repro.bench.experiments`)
 time it.  Only these engines emit the ``aggregate.*`` step spans and the
 ``algo2.*`` counters.
+
+The per-pair exploration walks that :class:`repro.exploration.ChainEvaluator`'s
+packed walks replaced stay here too, re-reducing both side masks for
+every pair, with production's ``evaluations`` and ``exploration.*`` counts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from typing import Any
 
-from ..core import AggregateGraph, EvolutionAggregate, TemporalGraph, aggregate
+from ..core import (
+    AggregateGraph,
+    EvolutionAggregate,
+    Interval,
+    TemporalGraph,
+    aggregate,
+)
 from ..core.aggregation import (
     AttributeTuple,
     EdgeKey,
@@ -28,6 +38,10 @@ from ..core.evolution import (
     _evolution_windows,
 )
 from ..core.intervals import TimeSet
+from ..errors import ExplorationError
+from ..exploration.events import ChainStep, EntityKind, EventCounter, EventType
+from ..exploration.explore import ExplorationResult, Goal, IntervalPairResult
+from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..frames import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
@@ -37,6 +51,11 @@ __all__ = [
     "aggregate_reference",
     "aggregate_evolution_reference",
     "aggregation_engines",
+    "reference_chain",
+    "reference_consecutive",
+    "reference_longest",
+    "explore_reference",
+    "exhaustive_reference",
 ]
 
 
@@ -210,3 +229,155 @@ _ENGINES: dict[str, Callable[..., AggregateGraph]] = {
 def aggregation_engines() -> dict[str, Callable[..., AggregateGraph]]:
     """A copy of the engine registry (name -> drop-in callable)."""
     return dict(_ENGINES)
+
+
+# ----------------------------------------------------------------------
+# Exploration: the per-pair walks (Sections 3.2-3.4)
+# ----------------------------------------------------------------------
+
+
+def _step(counter: EventCounter, event: EventType, old: Side, new: Side) -> ChainStep:
+    """One pair, both side masks re-reduced from the presence matrix."""
+    mask = counter.event_mask(event, old, new)
+    get_metrics().inc("exploration.chain_steps")
+    return ChainStep(old, new, counter.count_for_mask(event, old, new, mask), mask)
+
+
+def reference_chain(
+    counter: EventCounter,
+    event: EventType,
+    reference: int,
+    extend: ExtendSide,
+    semantics: Semantics,
+) -> Iterator[ChainStep]:
+    """The extension chain of one reference point, a pair at a time.
+
+    Extending NEW: the old side is the point ``reference`` and the new
+    side runs ``[reference+1]``, ``[reference+1..reference+2]``, ...
+    Extending OLD: the new side is the point ``reference + 1`` and the
+    old side runs ``[reference]``, ``[reference-1..reference]``, ...
+    Lazy, so a caller that stops early evaluates no later pair.
+    """
+    n_times = len(counter.graph.timeline)
+    if not 0 <= reference < n_times - 1:
+        raise ExplorationError(
+            f"chain reference {reference} out of range 0..{n_times - 2}"
+        )
+    get_metrics().inc("exploration.chains")
+    if extend is ExtendSide.NEW:
+        for stop in range(reference + 1, n_times):
+            new = Side(Interval(reference + 1, stop), semantics)
+            yield _step(counter, event, Side.point(reference), new)
+    else:
+        for start in range(reference, -1, -1):
+            old = Side(Interval(start, reference), semantics)
+            yield _step(counter, event, old, Side.point(reference + 1))
+
+
+def reference_consecutive(
+    counter: EventCounter, event: EventType, start: int, stop: int
+) -> Iterator[ChainStep]:
+    """The consecutive point pairs ``(T_i, T_{i+1})`` of references ``i``
+    in ``start .. stop-1``, a pair at a time."""
+    for i in range(start, stop):
+        yield _step(counter, event, Side.point(i), Side.point(i + 1))
+
+
+def reference_longest(
+    counter: EventCounter, event: EventType, extend: ExtendSide, start: int, stop: int
+) -> Iterator[ChainStep]:
+    """Per reference ``i`` in ``start .. stop-1``, the longest
+    intersection-semantics extension of the ``extend`` side."""
+    last = len(counter.graph.timeline) - 1
+    for i in range(start, stop):
+        span = Interval(0, i) if extend is ExtendSide.OLD else Interval(i + 1, last)
+        longest = Side(span, Semantics.INTERSECTION)
+        if extend is ExtendSide.OLD:
+            yield _step(counter, event, longest, Side.point(i + 1))
+        else:
+            yield _step(counter, event, Side.point(i), longest)
+
+
+def explore_reference(
+    graph: TemporalGraph,
+    event: EventType,
+    goal: Goal,
+    extend: ExtendSide,
+    k: int,
+    entity: EntityKind = EntityKind.EDGES,
+    attributes: Sequence[str] = (),
+    key: Any = None,
+) -> ExplorationResult:
+    """:func:`repro.exploration.explore`, one pair at a time.
+
+    U-Explore stops a union chain at its first pair reaching ``k`` and
+    reports it; I-Explore stops an intersection chain at its first
+    failure and reports the last passing pair.  When extension can only
+    lower the count (minimal) or raise it (maximal), each consecutive
+    point pair or each reference's longest extension is evaluated.
+    """
+    if k < 1:
+        raise ExplorationError(f"threshold k must be positive, got {k}")
+    counter = EventCounter(graph, entity, attributes, key)
+    n_times = len(graph.timeline)
+    union = goal is Goal.MINIMAL
+    if event is not EventType.STABILITY and (
+        (extend is ExtendSide.NEW) != (event is EventType.GROWTH)
+    ):
+        references = max(0, n_times - 1)
+        steps = list(
+            reference_consecutive(counter, event, 0, references)
+            if union
+            else reference_longest(counter, event, extend, 0, references)
+        )
+        found, evaluations = [s for s in steps if s.count >= k], len(steps)
+    else:
+        semantics = Semantics.UNION if union else Semantics.INTERSECTION
+        found, evaluations = [], 0
+        for reference in range(n_times - 1):
+            passing: ChainStep | None = None
+            taken = 0
+            for step in reference_chain(counter, event, reference, extend, semantics):
+                taken += 1
+                if step.count >= k:
+                    passing = step
+                if (step.count >= k) == union:
+                    break
+            evaluations += taken
+            length = reference + 1
+            if extend is ExtendSide.NEW:
+                length = n_times - 1 - reference
+            if length > taken:
+                get_metrics().inc("exploration.pruned_steps", length - taken)
+            found += [] if passing is None else [passing]
+    pairs = tuple(IntervalPairResult(s.old, s.new, s.count) for s in found)
+    return ExplorationResult(event, goal, extend, k, pairs, evaluations)
+
+
+def exhaustive_reference(
+    graph: TemporalGraph,
+    event: EventType,
+    goal: Goal,
+    extend: ExtendSide,
+    k: int,
+    entity: EntityKind = EntityKind.EDGES,
+    attributes: Sequence[str] = (),
+    key: Any = None,
+) -> ExplorationResult:
+    """:func:`repro.exploration.exhaustive_explore`, one pair at a time:
+    every pair of every chain is evaluated, and a chain reports its first
+    passing pair when minimal (Definition 3.4) or its last when maximal
+    (Definition 3.5)."""
+    if k < 1:
+        raise ExplorationError(f"threshold k must be positive, got {k}")
+    counter = EventCounter(graph, entity, attributes, key)
+    semantics = Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
+    found, evaluations = [], 0
+    for reference in range(len(graph.timeline) - 1):
+        steps = list(reference_chain(counter, event, reference, extend, semantics))
+        evaluations += len(steps)
+        passing = [s for s in steps if s.count >= k]
+        if passing:
+            found.append(passing[0] if goal is Goal.MINIMAL else passing[-1])
+    pairs = tuple(IntervalPairResult(s.old, s.new, s.count) for s in found)
+    return ExplorationResult(event, goal, extend, k, pairs, evaluations)

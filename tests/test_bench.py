@@ -1,5 +1,9 @@
 """Tests for the benchmark harness: timing, reporting, experiment drivers."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -133,3 +137,22 @@ class TestExperimentDrivers:
         series = fig5_timepoint_aggregation(small_movielens, [["gender"]])
         series.add("extra", 1.0)
         assert series.series["extra"] == [1.0]
+
+
+def test_importing_the_library_leaves_the_test_harness_unloaded():
+    """The figure drivers import the reference engines when they run, so
+    importing the library and its serving subsystems loads no part of
+    ``repro.testing``."""
+    script = (
+        "import sys\n"
+        "import repro, repro.exploration, repro.serving, repro.streaming\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.testing'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=120,
+    )

@@ -291,3 +291,31 @@ class TestEndpointResolutions:
             session.evolution(["t0"], [label], ["gender"])
             assert session.graph.storage_name == storage
         assert resolutions == []
+
+
+class TestKernelBuildsNoBackend:
+    def test_aggregates_over_operator_results_build_no_backend(
+        self, small_dblp, monkeypatch
+    ):
+        """The kernel reads the endpoint rows an operator result carries,
+        so aggregating columnar operator results builds no backend
+        beyond the base graph's."""
+        backend = repro.storage.columnar.ColumnarBackend
+        original = backend._from_frames.__func__
+        builds = []
+
+        def counting(cls, frames, carried):
+            builds.append(len(frames.times))
+            return original(cls, frames, carried)
+
+        monkeypatch.setattr(backend, "_from_frames", classmethod(counting))
+        graph = small_dblp.with_storage("columnar")
+        assert type(graph.storage) is backend
+        assert len(builds) == 1
+        labels = graph.timeline.labels
+        windows = [union(graph, labels[i : i + 3]) for i in range(10)]
+        results = [aggregate(window, ["gender"]) for window in windows]
+        assert len(builds) == 1
+        monkeypatch.undo()
+        for window, result in zip(windows, results):
+            assert result == aggregate_reference(window, ["gender"])

@@ -1,5 +1,9 @@
 """Tests for EventCounter: side semantics and result(G) counting."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -353,7 +357,7 @@ class TestSharedIndex:
         for source in values:
             key = ((source,), (values[0],))
             keyed = shared.with_key(key)
-            assert keyed._presence() is shared._presence()
+            assert keyed._presence_matrix is shared._presence_matrix
             assert keyed.key == key and shared.key is None
             direct = EventCounter(paper_graph, EntityKind.EDGES, attributes, key)
             for event in EventType:
@@ -399,3 +403,25 @@ class TestCounterHandOff:
         ):
             with pytest.raises(ExplorationError, match="counter was built"):
                 explore(graph, *self.ARGS, entity, attributes, key, counter=counter)
+
+
+def test_appearance_counts_leave_numpy_ma_unloaded():
+    """A keyless time-varying count finds distinct appearances with the
+    kernel's sort, not ``np.unique``, which loads ``numpy.ma``."""
+    script = (
+        "import sys\n"
+        "from repro.datasets import paper_example\n"
+        "from repro.exploration import EntityKind, EventType, ExtendSide, "
+        "Goal, explore\n"
+        "result = explore(paper_example(), EventType.STABILITY, Goal.MAXIMAL, "
+        "ExtendSide.NEW, 1, EntityKind.NODES, ['publications'])\n"
+        "assert result.pairs\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was loaded'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=120,
+    )

@@ -1,10 +1,10 @@
-"""Parity suite: the incremental chain evaluator vs. the naive path.
+"""Parity suite: the packed chain walks vs. the per-pair reference.
 
-The incremental engine (batched depth-at-a-time walks over packed
-presence rows, the per-step ``chain`` walk, vectorized appearance
-counting) must be *bit-identical* to the naive per-pair evaluation
-across all Table-1 strategy cases and threshold ladders, on the example
-graph and on the MovieLens/DBLP fixtures, with static and time-varying
+The production engine (batched depth-at-a-time walks over packed
+presence rows, vectorized appearance counting) must be *bit-identical*
+to the per-pair evaluation of :mod:`repro.testing.reference` across all
+Table-1 strategy cases and threshold ladders, on the example graph and
+on the MovieLens/DBLP fixtures, with static and time-varying
 attributes, with and without keys.  Any drift here is a correctness
 bug, never a matter of tolerance.
 """
@@ -29,7 +29,15 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
+from repro.exploration.events import _unpack_row, event_mask_from
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.testing.reference import (
+    exhaustive_reference,
+    explore_reference,
+    reference_chain,
+    reference_consecutive,
+    reference_longest,
+)
 
 TABLE1_CASES = list(itertools.product(EventType, Goal, ExtendSide))
 
@@ -71,14 +79,14 @@ def _graph(request, name):
 
 
 class TestExploreParity:
-    """explore() — all eight Table-1 cases, incremental vs. naive."""
+    """explore() — all eight Table-1 cases, packed walks vs. per-pair."""
 
     @pytest.mark.parametrize("event,goal,extend", TABLE1_CASES)
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_table1_case(self, request, dataset, event, goal, extend):
         graph = _graph(request, dataset)
-        fast = explore(graph, event, goal, extend, 1, incremental=True)
-        slow = explore(graph, event, goal, extend, 1, incremental=False)
+        fast = explore(graph, event, goal, extend, 1)
+        slow = explore_reference(graph, event, goal, extend, 1)
         assert fast == slow
 
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -91,12 +99,8 @@ class TestExploreParity:
                 (EventType.SHRINKAGE, Goal.MAXIMAL, ExtendSide.OLD),
             ):
                 kwargs = dict(entity=entity, attributes=attributes, key=key)
-                fast = explore(
-                    graph, event, goal, extend, 1, incremental=True, **kwargs
-                )
-                slow = explore(
-                    graph, event, goal, extend, 1, incremental=False, **kwargs
-                )
+                fast = explore(graph, event, goal, extend, 1, **kwargs)
+                slow = explore_reference(graph, event, goal, extend, 1, **kwargs)
                 assert fast == slow, (entity, attributes, key, event, goal, extend)
 
 
@@ -108,13 +112,13 @@ EXPLORATION_COUNTERS = (
 )
 
 
-def _counted_explore(graph, case, k, config, **options):
-    """``explore`` under a fresh metrics registry: the result, and the
+def _counted_explore(graph, case, k, config, explorer=explore):
+    """``explorer`` under a fresh metrics registry: the result, and the
     registry holding the metrics it moved."""
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        result = explore(graph, *case, k, *config, **options)
+        result = explorer(graph, *case, k, *config)
     finally:
         set_metrics(previous)
     return result, registry
@@ -131,14 +135,14 @@ def _ladder(graph, event, config):
 
 def _assert_ladders_agree(graph, configs):
     """Every Table-1 case, counter configuration and ladder threshold:
-    the batched walk equals the naive path, counts, evaluations, sides,
-    order and exploration counters alike."""
+    the batched walk equals the per-pair reference, counts, evaluations,
+    sides, order and exploration counters alike."""
     for config in configs:
         for case in TABLE1_CASES:
             for k in _ladder(graph, case[0], config):
                 fast, fast_metrics = _counted_explore(graph, case, k, config)
                 slow, slow_metrics = _counted_explore(
-                    graph, case, k, config, incremental=False
+                    graph, case, k, config, explorer=explore_reference
                 )
                 assert fast == slow, (config, case, k)
                 assert all(type(pair.count) is int for pair in fast.pairs)
@@ -155,16 +159,16 @@ def _stepped(steps, k):
     return [(s.old, s.new, s.count) for s in steps if s.count >= k], len(steps)
 
 
-def _stepped_chains(evaluator, start, stop, extend, semantics, k):
+def _stepped_chains(counter, event, start, stop, extend, semantics, k):
     """U-Explore (union) or I-Explore (intersection) over the chains of
-    references ``start .. stop-1``, one per-step chain walk at a time:
+    references ``start .. stop-1``, one per-pair chain walk at a time:
     a union chain stops at its first pair reaching ``k`` and reports
     it, an intersection chain stops at its first failure and reports
     the last passing pair."""
     pairs, evaluations = [], 0
     for reference in range(start, stop):
         found = None
-        for step in evaluator.chain(reference, extend, semantics):
+        for step in reference_chain(counter, event, reference, extend, semantics):
             evaluations += 1
             passed = step.count >= k
             if passed:
@@ -177,8 +181,8 @@ def _stepped_chains(evaluator, start, stop, extend, semantics, k):
 
 
 class TestThresholdLadders:
-    """The batched walk vs. the naive path past k=1, where chains run
-    deep before U-Explore passes or I-Explore fails."""
+    """The batched walk vs. the per-pair reference past k=1, where
+    chains run deep before U-Explore passes or I-Explore fails."""
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_every_case_and_counter(self, request, dataset):
@@ -212,23 +216,25 @@ class TestThresholdLadders:
             counter = EventCounter(small_dblp, *config)
             for event in EventType:
                 batched = ChainEvaluator(counter, event)
-                naive = ChainEvaluator(counter, event, incremental=False)
                 for k, (start, stop) in itertools.product(
                     _ladder(small_dblp, event, config), slices
                 ):
                     where = (config, event, k, start, stop)
                     assert batched.walk_consecutive(start, stop, k) == _stepped(
-                        naive.consecutive(start, stop), k
+                        reference_consecutive(counter, event, start, stop), k
                     ), where
                     for extend in ExtendSide:
                         assert batched.walk_longest(extend, start, stop, k) == (
-                            _stepped(naive.longest(extend, start, stop), k)
+                            _stepped(
+                                reference_longest(counter, event, extend, start, stop),
+                                k,
+                            )
                         ), (where, extend)
                         for semantics in Semantics:
                             assert batched.walk_chains(
                                 start, stop, extend, semantics, k
                             ) == _stepped_chains(
-                                naive, start, stop, extend, semantics, k
+                                counter, event, start, stop, extend, semantics, k
                             ), (where, extend, semantics)
 
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -262,12 +268,8 @@ class TestThresholdLadders:
 class TestExhaustiveParity:
     @pytest.mark.parametrize("event,goal,extend", TABLE1_CASES)
     def test_paper_graph(self, paper_graph, event, goal, extend):
-        fast = exhaustive_explore(
-            paper_graph, event, goal, extend, 1, incremental=True
-        )
-        slow = exhaustive_explore(
-            paper_graph, event, goal, extend, 1, incremental=False
-        )
+        fast = exhaustive_explore(paper_graph, event, goal, extend, 1)
+        slow = exhaustive_reference(paper_graph, event, goal, extend, 1)
         assert fast == slow
 
     @pytest.mark.parametrize("dataset", ["small_movielens", "small_dblp"])
@@ -275,19 +277,17 @@ class TestExhaustiveParity:
     def test_fixtures(self, request, dataset, extend):
         graph = _graph(request, dataset)
         fast = exhaustive_explore(
-            graph, EventType.STABILITY, Goal.MAXIMAL, extend, 1,
-            incremental=True,
+            graph, EventType.STABILITY, Goal.MAXIMAL, extend, 1
         )
-        slow = exhaustive_explore(
-            graph, EventType.STABILITY, Goal.MAXIMAL, extend, 1,
-            incremental=False,
+        slow = exhaustive_reference(
+            graph, EventType.STABILITY, Goal.MAXIMAL, extend, 1
         )
         assert fast == slow
 
 
 class TestChainStepMasks:
-    """Every incremental chain step's mask and count must equal what the
-    counter computes from scratch for the same pair."""
+    """Every pair of the packed depth walk must reduce to the event mask
+    and count the counter computes from scratch for the same pair."""
 
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("extend", ExtendSide)
@@ -298,36 +298,32 @@ class TestChainStepMasks:
         counter = EventCounter(
             graph, entity=entity, attributes=attributes, key=key
         )
+        n_rows = counter._presence_matrix.shape[0]
+        stop = min(len(graph.timeline) - 1, 4)
         for event in EventType:
             evaluator = ChainEvaluator(counter, event)
-            for reference in range(min(len(graph.timeline) - 1, 4)):
-                for step in evaluator.chain(reference, extend, semantics):
-                    expected_mask = counter.event_mask(event, step.old, step.new)
-                    assert np.array_equal(step.mask, expected_mask)
-                    assert step.count == counter.count(event, step.old, step.new)
-
-    @pytest.mark.parametrize("dataset", DATASETS)
-    def test_consecutive_and_longest(self, request, dataset):
-        graph = _graph(request, dataset)
-        counter = EventCounter(graph)
-        for event in EventType:
-            evaluator = ChainEvaluator(counter, event)
-            for walk in (
-                evaluator.consecutive(),
-                evaluator.longest(ExtendSide.OLD),
-                evaluator.longest(ExtendSide.NEW),
+            walk = evaluator.walk_depths(0, stop, extend, semantics)
+            counts = evaluator.walk_counts(0, stop, extend, semantics)
+            for (depth, live, pair, _, _), (_, _, depth_counts, _) in zip(
+                walk, counts, strict=True
             ):
-                for step in walk:
-                    expected = counter.event_mask(event, step.old, step.new)
-                    assert np.array_equal(step.mask, expected)
-                    assert step.count == counter.count(event, step.old, step.new)
+                words = event_mask_from(event, *pair)
+                for row, reference, count in zip(
+                    words, live.tolist(), depth_counts.tolist(), strict=True
+                ):
+                    old, new = evaluator.chain_sides(
+                        reference, depth, extend, semantics
+                    )
+                    expected_mask = counter.event_mask(event, old, new)
+                    assert np.array_equal(_unpack_row(row, n_rows), expected_mask)
+                    assert count == counter.count(event, old, new)
 
     def test_evaluations_match_between_modes(self, small_dblp):
-        """Pruning decisions are identical, so both modes evaluate the
-        same number of pairs."""
+        """Pruning decisions are identical, so the packed walks and the
+        per-pair reference evaluate the same number of pairs."""
         for event, goal, extend in TABLE1_CASES:
-            fast = explore(small_dblp, event, goal, extend, 2, incremental=True)
-            slow = explore(small_dblp, event, goal, extend, 2, incremental=False)
+            fast = explore(small_dblp, event, goal, extend, 2)
+            slow = explore_reference(small_dblp, event, goal, extend, 2)
             assert fast.evaluations == slow.evaluations
 
 

@@ -1,8 +1,8 @@
 """Engine parity on one small graph: fast paths against their oracles.
 
 * all eight Table-1 exploration cases — the batched walk reports the
-  same pairs *and* the same evaluation count as the naive per-pair
-  path, and the same pairs as the exhaustive by-definition explorer;
+  same pairs *and* the same evaluation count as the per-pair reference,
+  and the same pairs as the exhaustive by-definition explorer;
 * the aggregation kernel against Algorithm 2, DIST and ALL;
 * the full registered fuzz-law suite, and its replay.
 
@@ -18,7 +18,7 @@ import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate
-from repro.testing.reference import aggregate_general
+from repro.testing.reference import aggregate_general, explore_reference
 from repro.exploration import (
     EventType,
     ExtendSide,
@@ -48,7 +48,7 @@ def graph():
 )
 def test_explore_parity_every_case(graph, event, goal, extend):
     batched = explore(graph, event, goal, extend, 1)
-    naive = explore(graph, event, goal, extend, 1, incremental=False)
+    naive = explore_reference(graph, event, goal, extend, 1)
     assert batched.diff(naive) == ()
     assert batched.pairs == naive.pairs
     # Bit-identical includes the pruning decisions, not just pairs.

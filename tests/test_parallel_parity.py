@@ -9,8 +9,8 @@ path with the oracle it must match:
 * evolution against the appearance-set reference, and the session
   facade against the direct calls it wraps;
 * all twelve Table-1 combinations at thresholds 2 and 4: the batched
-  walk reports the naive path's pairs *and* evaluation count, and the
-  exhaustive explorer's pairs;
+  walk reports the per-pair reference's pairs *and* evaluation count,
+  and the exhaustive explorer's pairs;
 * every registered fuzz law, and a replay of the same seed;
 * concurrent readers x an appender through one
   :class:`~repro.serving.QueryServer`: every response replays
@@ -28,7 +28,12 @@ from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, aggregate_evolution
 from repro.core.operators import presence_signature
 from repro.core.updates import SnapshotUpdate
-from repro.testing.reference import aggregate_evolution_reference, aggregate_general
+from repro.testing.reference import (
+    aggregate_evolution_reference,
+    aggregate_general,
+    exhaustive_reference,
+    explore_reference,
+)
 from repro.datasets import paper_example
 from repro.exploration import (
     EntityKind,
@@ -57,10 +62,10 @@ def graph():
 
 
 def _assert_explore_parity(graph, event, goal, extend, k, **what):
-    """The batched walk equals the naive path (pairs and evaluations)
-    and reports the exhaustive oracle's pairs."""
+    """The batched walk equals the per-pair reference (pairs and
+    evaluations) and reports the exhaustive oracle's pairs."""
     batched = explore(graph, event, goal, extend, k, **what)
-    naive = explore(graph, event, goal, extend, k, incremental=False, **what)
+    naive = explore_reference(graph, event, goal, extend, k, **what)
     assert batched.diff(naive) == ()
     # Bit-identical means the pruning decisions too, not just the pairs.
     assert batched.pairs == naive.pairs
@@ -138,11 +143,16 @@ def test_explore_parity_every_case(graph, event, goal, extend, k):
     _assert_explore_parity(graph, event, goal, extend, k)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_explore_parity_incremental_and_naive(graph, incremental):
+@pytest.mark.parametrize("production", [True, False])
+def test_explore_parity_incremental_and_naive(graph, production):
+    """The pruned explorer reports the exhaustive one's pairs, both in
+    production and in the per-pair reference."""
     case = (EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 2)
-    pruned = explore(graph, *case, incremental=incremental)
-    oracle = exhaustive_explore(graph, *case, incremental=incremental)
+    if production:
+        pruned, oracle = explore(graph, *case), exhaustive_explore(graph, *case)
+    else:
+        pruned = explore_reference(graph, *case)
+        oracle = exhaustive_reference(graph, *case)
     assert pruned.diff(oracle) == ()
     assert pruned.evaluations <= oracle.evaluations
 
@@ -157,7 +167,7 @@ def test_explore_parity_incremental_and_naive(graph, incremental):
 )
 def test_exhaustive_explore_parity(graph, event, goal, extend):
     batched = exhaustive_explore(graph, event, goal, extend, 1)
-    naive = exhaustive_explore(graph, event, goal, extend, 1, incremental=False)
+    naive = exhaustive_reference(graph, event, goal, extend, 1)
     assert batched.diff(naive) == ()
     assert batched.evaluations == naive.evaluations
 

@@ -12,7 +12,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.exploration import (
-    ChainEvaluator,
     EntityKind,
     EventCounter,
     EventType,
@@ -32,6 +31,7 @@ from repro.streaming import (
     batch_events,
 )
 from repro.testing import assert_same_graph
+from repro.testing.reference import reference_chain
 
 
 def make_update(time="t3"):
@@ -247,14 +247,15 @@ class TestExplorationView:
         "semantics", [Semantics.UNION, Semantics.INTERSECTION]
     )
     def test_steps_match_chain_evaluator(self, tiny_graph, event, semantics):
+        """The view's steps are the per-pair reference chain's, masks
+        included."""
         initial, updates = split_history(tiny_graph)
         view = ExplorationView(event, semantics=semantics)
         store = StreamingStore(initial, views=[view])
         for update in updates:
             store.append_snapshot(update)
         counter = EventCounter(store.graph, entity=EntityKind.EDGES)
-        evaluator = ChainEvaluator(counter, event)
-        expected = list(evaluator.chain(0, ExtendSide.NEW, semantics))
+        expected = list(reference_chain(counter, event, 0, ExtendSide.NEW, semantics))
         steps = view.steps()
         assert len(steps) == len(expected)
         for got, want in zip(steps, expected):
@@ -304,8 +305,8 @@ class TestExplorationView:
             attributes=view.attributes,
             key=view.key,
         )
-        expected = ChainEvaluator(counter, view.event).chain(
-            0, ExtendSide.NEW, view.semantics
+        expected = reference_chain(
+            counter, view.event, 0, ExtendSide.NEW, view.semantics
         )
         assert view.counts() == tuple(step.count for step in expected)
 
@@ -326,8 +327,8 @@ class TestExplorationView:
         )
         step = next(
             iter(
-                ChainEvaluator(counter, EventType.GROWTH).chain(
-                    2, ExtendSide.NEW, Semantics.UNION
+                reference_chain(
+                    counter, EventType.GROWTH, 2, ExtendSide.NEW, Semantics.UNION
                 )
             )
         )
