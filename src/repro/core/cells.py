@@ -27,7 +27,8 @@ what an existing index reads.
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -84,50 +85,103 @@ class _Pool:
 
 
 class _Lineage:
-    """The append-only buffers that one chain of versions shares.
+    """The append-only buffers, by name, that one chain of versions
+    shares; each version reads its own prefix of every buffer.
 
     ``generation`` counts the extensions written into the buffers; only
-    the index of the latest one, the tip, extends them in place.
+    the version of the latest one, the tip, extends them in place
+    (:func:`extending`).  The frames of appended graphs
+    (:mod:`repro.core.updates`) share buffers by the same rule.
     """
 
-    __slots__ = (
-        "lock",
-        "generation",
-        "node_indptr",
-        "edge_indptr",
-        "node_rows",
-        "edge_rows",
-        "codes",
-    )
+    __slots__ = ("lock", "generation", "buffers")
 
-    def __init__(
-        self,
-        node_indptr: np.ndarray,
-        edge_indptr: np.ndarray,
-        node_rows: np.ndarray,
-        edge_rows: np.ndarray,
-        codes: dict[str, np.ndarray],
-    ) -> None:
+    def __init__(self, buffers: dict[str, np.ndarray]) -> None:
         self.lock = threading.Lock()
         self.generation = 0
-        self.node_indptr = node_indptr
-        self.edge_indptr = edge_indptr
-        self.node_rows = node_rows
-        self.edge_rows = edge_rows
-        self.codes = codes
+        self.buffers = buffers
+
+
+@contextmanager
+def extending(
+    lineage: _Lineage | None, generation: int, fork: Callable[[], _Lineage]
+) -> Iterator[_Lineage]:
+    """The lineage that an extension of the version at ``generation`` of
+    ``lineage`` writes into: ``lineage`` itself when that version is its
+    tip, else ``fork()``, new buffers holding the version's own prefix
+    (also for a version that has no lineage).
+
+    The extension runs under ``lineage``'s lock, and the generation is
+    advanced before it writes: a write that fails partway leaves no
+    version at the tip, so the next extension forks.  Inside the block,
+    the yielded lineage's ``generation`` is the new version's.
+    """
+    if lineage is None:
+        lineage, generation = fork(), 0
+    with lineage.lock:
+        if lineage.generation != generation:
+            lineage = fork()
+        lineage.generation += 1
+        yield lineage
+
+
+def blank(shape: tuple[int, ...], dtype: np.dtype[Any]) -> np.ndarray:
+    """An array that reads as absent everywhere: ``None`` for objects,
+    zero otherwise."""
+    if dtype == object:
+        return np.full(shape, None, dtype=object)
+    return np.zeros(shape, dtype=dtype)
+
+
+def room(
+    buffer: np.ndarray, used: tuple[int, ...], shape: tuple[int, ...]
+) -> np.ndarray:
+    """``buffer`` when it holds ``shape``, else a :func:`blank` buffer
+    that does, at least twice as long on every axis ``shape`` outgrew,
+    holding the same ``used`` prefix.  The prefix is never written."""
+    if all(n <= size for n, size in zip(shape, buffer.shape)):
+        return buffer
+    grown = blank(
+        tuple(
+            size if n <= size else max(n, 2 * size)
+            for n, size in zip(shape, buffer.shape)
+        ),
+        buffer.dtype,
+    )
+    prefix = tuple(map(slice, used))
+    grown[prefix] = buffer[prefix]
+    return grown
 
 
 def _put(buffer: np.ndarray, used: int, extra: np.ndarray) -> np.ndarray:
-    """``buffer`` with ``extra`` written after its first ``used`` items.
-    A full buffer is replaced by one of twice the capacity holding the
-    same prefix; the prefix itself is never written."""
+    """``buffer`` with ``extra`` written after its first ``used`` items,
+    in a :func:`room` buffer when it is full."""
     end = used + len(extra)
-    if end > buffer.size:
-        grown = np.empty(max(end, 2 * buffer.size), dtype=buffer.dtype)
-        grown[:used] = buffer[:used]
-        buffer = grown
+    buffer = room(buffer, (used,), (end,))
     buffer[used:end] = extra
     return buffer
+
+
+#: The prefix of an attribute's code buffer name in a cell lineage.
+_CODES = "codes:"
+
+
+def _cell_lineage(
+    node_indptr: np.ndarray,
+    edge_indptr: np.ndarray,
+    node_rows: np.ndarray,
+    edge_rows: np.ndarray,
+    codes: dict[str, np.ndarray],
+) -> _Lineage:
+    """A cell index's lineage over these buffers."""
+    buffers = {
+        "node_indptr": node_indptr,
+        "edge_indptr": edge_indptr,
+        "node_rows": node_rows,
+        "edge_rows": edge_rows,
+    }
+    buffers.update((_CODES + name, array) for name, array in codes.items())
+    return _Lineage(buffers)
 
 
 def _increasing(values: np.ndarray) -> bool:
@@ -220,25 +274,25 @@ class CellIndex:
 
     @property
     def node_indptr(self) -> np.ndarray:
-        return self._lineage.node_indptr[: self.n_times + 1]
+        return self._lineage.buffers["node_indptr"][: self.n_times + 1]
 
     @property
     def edge_indptr(self) -> np.ndarray:
-        return self._lineage.edge_indptr[: self.n_times + 1]
+        return self._lineage.buffers["edge_indptr"][: self.n_times + 1]
 
     @property
     def node_rows(self) -> np.ndarray:
-        return self._lineage.node_rows[: self._node_events]
+        return self._lineage.buffers["node_rows"][: self._node_events]
 
     @property
     def edge_rows(self) -> np.ndarray:
-        return self._lineage.edge_rows[: self._edge_events]
+        return self._lineage.buffers["edge_rows"][: self._edge_events]
 
     def codes(self, name: str) -> np.ndarray:
         """A static attribute's code per node row, or a time-varying
         one's code per node event."""
         used = self.n_nodes if name in self.static_names else self._node_events
-        return self._lineage.codes[name][:used]
+        return self._lineage.buffers[_CODES + name][:used]
 
     def pool(self, name: str) -> tuple[list[Any], int]:
         """An attribute's values in code order, and how many this index
@@ -289,14 +343,12 @@ class CellIndex:
         values, aligned with ``node_rows``; ``static[name]`` holds the
         static values of the new nodes ``self.n_nodes .. n_nodes - 1``.
         The shared buffers are extended in place when this index is
-        their tip; otherwise this index's prefix is copied first.
-        Either way, under the lineage lock, and no existing index reads
-        anything different afterwards.
+        their tip; otherwise this index's prefix is copied first
+        (:func:`extending`), and no existing index reads anything
+        different afterwards.
         """
-        with self._lineage.lock:
-            lineage = self._lineage
-            if lineage.generation != self._generation:
-                lineage = self._fork()
+        with extending(self._lineage, self._generation, self._fork) as lineage:
+            buffers = lineage.buffers
             pools: dict[str, tuple[_Pool, int]] = {}
             for name, (pool, size) in self._pools.items():
                 if pool.owner is not lineage:
@@ -307,17 +359,18 @@ class CellIndex:
                     new, used = static[name], self.n_nodes
                 else:
                     new, used = varying[name], self._node_events
-                codes = pool.encode(new)
-                lineage.codes[name] = _put(lineage.codes[name], used, codes)
+                key = _CODES + name
+                buffers[key] = _put(buffers[key], used, pool.encode(new))
                 pools[name] = (pool, len(pool.values))
             node_events = self._node_events + len(node_rows)
             edge_events = self._edge_events + len(edge_rows)
-            lineage.node_rows = _put(lineage.node_rows, self._node_events, node_rows)
-            lineage.edge_rows = _put(lineage.edge_rows, self._edge_events, edge_rows)
-            used = self.n_times + 1
-            lineage.node_indptr = _put(lineage.node_indptr, used, np.array([node_events]))
-            lineage.edge_indptr = _put(lineage.edge_indptr, used, np.array([edge_events]))
-            lineage.generation += 1
+            for key, used, new in (
+                ("node_rows", self._node_events, node_rows),
+                ("edge_rows", self._edge_events, edge_rows),
+                ("node_indptr", self.n_times + 1, np.array([node_events])),
+                ("edge_indptr", self.n_times + 1, np.array([edge_events])),
+            ):
+                buffers[key] = _put(buffers[key], used, new)
             return CellIndex(
                 lineage,
                 self.n_times + 1,
@@ -331,7 +384,7 @@ class CellIndex:
 
     def _fork(self) -> _Lineage:
         """A new lineage holding a copy of this index's prefixes."""
-        return _Lineage(
+        return _cell_lineage(
             self.node_indptr.copy(),
             self.edge_indptr.copy(),
             self.node_rows.copy(),
@@ -360,7 +413,7 @@ class CellIndex:
             name: self.codes(name)[node_rows if name in self.static_names else node_events]
             for name in self._pools
         }
-        lineage = _Lineage(node_indptr, edge_indptr, nodes, edges, codes)
+        lineage = _cell_lineage(node_indptr, edge_indptr, nodes, edges, codes)
         return CellIndex(
             lineage,
             at.size,
@@ -378,7 +431,7 @@ def build_cells(graph: "TemporalGraph") -> CellIndex:
     node_indptr, node_rows = _event_index(graph.node_presence.values)
     edge_indptr, edge_rows = _event_index(graph.edge_presence.values)
     times = np.repeat(np.arange(len(graph.timeline)), np.diff(node_indptr))
-    lineage = _Lineage(node_indptr, edge_indptr, node_rows, edge_rows, {})
+    lineage = _cell_lineage(node_indptr, edge_indptr, node_rows, edge_rows, {})
     pools: dict[str, tuple[_Pool, int]] = {}
     columns: list[tuple[Hashable, np.ndarray]] = [
         (label, graph.static_attrs.values[:, col])
@@ -390,7 +443,7 @@ def build_cells(graph: "TemporalGraph") -> CellIndex:
     ]
     for label, values in columns:
         pool = _Pool(lineage)
-        lineage.codes[str(label)] = pool.encode(values.tolist())
+        lineage.buffers[_CODES + str(label)] = pool.encode(values.tolist())
         pools[str(label)] = (pool, len(pool.values))
     return CellIndex(
         lineage,

@@ -383,21 +383,29 @@ class TemporalGraph:
     ) -> "TemporalGraph":
         """:meth:`restricted` by node and edge row *positions*.
 
-        The new graph derives its endpoint rows and cell index from this
-        graph's, on its first kernel call.
+        The frames of each axis share one label tuple and one row index
+        (built on the first label lookup), as the time-columned frames
+        share one column index.  The new graph derives its endpoint rows
+        and cell index from this graph's, on its first kernel call.
         """
+        timeline = Timeline(times)
+        node_pos = np.asarray(node_rows, dtype=np.intp)
+        edge_pos = np.asarray(edge_rows, dtype=np.intp)
+        nodes = self.node_presence._row_axis(node_pos)
+        edges = self.edge_presence._row_axis(edge_pos)
+        columns = self.node_presence._col_axis(timeline.labels)
         graph = TemporalGraph(
-            timeline=Timeline(times),
-            node_presence=self.node_presence.take(node_rows, times),
-            edge_presence=self.edge_presence.take(edge_rows, times),
-            static_attrs=self.static_attrs.take(node_rows),
+            timeline=timeline,
+            node_presence=self.node_presence._taken(node_pos, nodes, columns),
+            edge_presence=self.edge_presence._taken(edge_pos, edges, columns),
+            static_attrs=self.static_attrs._taken(node_pos, nodes),
             varying_attrs={
-                name: frame.take(node_rows, times)
+                name: frame._taken(node_pos, nodes, columns)
                 for name, frame in self.varying_attrs.items()
             },
             validate=validate,
             edge_attrs=(
-                self.edge_attrs.take(edge_rows)
+                self.edge_attrs._taken(edge_pos, edges)
                 if self.edge_attrs is not None
                 else None
             ),
@@ -407,9 +415,9 @@ class TemporalGraph:
         )
         graph._carried.source = (
             self,
-            np.asarray(node_rows, dtype=np.int32),
-            np.asarray(edge_rows, dtype=np.int32),
-            tuple(times),
+            node_pos.astype(np.int32),
+            edge_pos.astype(np.int32),
+            timeline.labels,
         )
         return graph
 

@@ -4,9 +4,11 @@ Evolving graphs grow at the end of their timeline; re-generating the
 whole graph per tick would defeat the paper's materialization story.
 :func:`append_snapshot` extends a :class:`TemporalGraph` with one new
 time point — new nodes, returning nodes, their time-varying values, and
-the snapshot's edges — producing a new graph value (inputs are never
-mutated).  :class:`repro.materialize.IncrementalStore` builds on this to
-keep per-point aggregates and running union totals current as the graph
+the snapshot's edges — producing a new graph value.  What an input
+reads never changes: the versions of a graph share append-only frame
+buffers, and each reads only its own prefix.
+:class:`repro.materialize.IncrementalStore` builds on this to keep
+per-point aggregates and running union totals current as the graph
 grows.
 """
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from ..frames import LabeledFrame
 from ..storage.base import resolve_endpoint_rows
+from .cells import _Lineage, blank, extending, room
 from .graph import EdgeId, NodeId, TemporalGraph
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
@@ -85,12 +88,16 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     """A new graph whose timeline ends with the update's time point.
 
     The new version extends what its parent holds instead of re-deriving
-    it from labels: each axis gets one row index (a copy of the parent's,
-    grown by the new labels) shared by every frame of the new graph;
-    endpoint rows the parent already holds are carried over with the new
-    edges' rows appended; and a cell index the parent holds is extended
-    by the new column (:meth:`repro.core.cells.CellIndex.extended`).
-    The parent's frames, indexes and arrays are never mutated.
+    it from labels: its frames are read-only views of append-only
+    buffers that the chain of versions shares, where only the new
+    column's present cells and the new rows' values are written (the
+    tip/fork/doubling rule of :mod:`repro.core.cells`); each axis gets
+    one row index (a copy of the parent's, grown by the new labels)
+    shared by every frame of the new graph; endpoint rows the parent
+    already holds are carried over with the new edges' rows appended;
+    and a cell index the parent holds is extended by the new column
+    (:meth:`repro.core.cells.CellIndex.extended`).  What the parent's
+    frames, indexes and arrays read never changes.
     """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
@@ -145,6 +152,76 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     new_node_ids = [n for n in incoming if n not in node_index]
     all_nodes = graph.nodes + tuple(new_node_ids)
     node_index.update(zip(new_node_ids, range(n_nodes, len(all_nodes))))
+    present = np.sort(_rows_of(node_index, incoming))
+
+    edge_index = graph.edge_presence._rows_copy()
+    distinct_edges = dict.fromkeys(edges)
+    new_edge_ids = [e for e in distinct_edges if e not in edge_index]
+    all_edges = graph.edges + tuple(new_edge_ids)
+    edge_index.update(zip(new_edge_ids, range(n_edges, len(all_edges))))
+    edge_rows = np.sort(_rows_of(edge_index, distinct_edges))
+
+    # Every frame array of the parent, by buffer name, with its shape in
+    # the new version: one more time column, and the new rows.
+    static_names = graph.static_attrs.col_labels
+    shapes = {
+        "nodes": (len(all_nodes), len(new_times)),
+        "static": (len(all_nodes), len(static_names)),
+        "edges": (len(all_edges), len(new_times)),
+    }
+    parent = {
+        "nodes": graph.node_presence.values,
+        "static": graph.static_attrs.values,
+        "edges": graph.edge_presence.values,
+    }
+    for name in varying_names:
+        shapes[_VARYING + name] = shapes["nodes"]
+        parent[_VARYING + name] = graph.varying_attrs[name].values
+    if graph.edge_attrs is not None:
+        shapes["edge_attrs"] = (len(all_edges), graph.edge_attrs.n_cols)
+        parent["edge_attrs"] = graph.edge_attrs.values
+
+    def fork() -> _Lineage:
+        """Buffers of exactly the new version's shapes, holding the
+        parent's frames."""
+        buffers: dict[str, np.ndarray] = {}
+        for name, array in parent.items():
+            buffers[name] = buffer = blank(shapes[name], array.dtype)
+            buffer[: array.shape[0], : array.shape[1]] = array
+        return _Lineage(buffers)
+
+    # The tip of the parent's buffers writes the new column's present
+    # cells and the new rows' values in place; any other parent forks
+    # first.  No version reads past its own prefix, so none sees these
+    # writes, and the views go out read-only.
+    lineage, generation = graph._carried.frames or (None, 0)
+    with extending(lineage, generation, fork) as lineage:
+        buffers = lineage.buffers
+        views: dict[str, np.ndarray] = {}
+        for name, (rows, cols) in shapes.items():
+            buffers[name] = room(buffers[name], parent[name].shape, (rows, cols))
+            views[name] = buffers[name][:rows, :cols]
+        views["nodes"][present, -1] = 1
+        views["edges"][edge_rows, -1] = 1
+        for name in varying_names:
+            column = views[_VARYING + name][:, -1]
+            for node, node_values_map in incoming.items():
+                if name in node_values_map:
+                    column[node_index[node]] = node_values_map[name]
+        _write_new_rows(
+            views["static"], static_names, n_nodes, new_node_ids, update.static
+        )
+        if graph.edge_attrs is not None:
+            _write_new_rows(
+                views["edge_attrs"],
+                graph.edge_attrs.col_labels,
+                n_edges,
+                new_edge_ids,
+                update.edge_attrs,
+            )
+        frames = (lineage, lineage.generation)
+    for view in views.values():
+        view.flags.writeable = False
 
     def node_frame(
         cols: tuple[Hashable, ...],
@@ -153,54 +230,19 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     ) -> LabeledFrame:
         return LabeledFrame._adopt(all_nodes, cols, values, node_index, col_index)
 
-    present = np.sort(_rows_of(node_index, incoming))
-    node_values = np.zeros((len(all_nodes), len(new_times)), dtype=np.uint8)
-    node_values[:n_nodes, :-1] = graph.node_presence.values
-    node_values[present, -1] = 1
-    node_presence = node_frame(new_times, node_values, time_index)
-
-    static_names = graph.static_attrs.col_labels
-    static_values = np.empty((len(all_nodes), len(static_names)), dtype=object)
-    static_values[:n_nodes] = graph.static_attrs.values
-    for i, node in enumerate(new_node_ids):
-        provided = update.static.get(node, {})
-        for col, name in enumerate(static_names):
-            static_values[n_nodes + i, col] = provided.get(str(name))
-    static_attrs = node_frame(static_names, static_values, None)
-
-    varying_attrs: dict[str, LabeledFrame] = {}
-    for name in varying_names:
-        values = np.full((len(all_nodes), len(new_times)), None, dtype=object)
-        values[:n_nodes, :-1] = graph.varying_attrs[name].values
-        for node, node_values_map in incoming.items():
-            if name in node_values_map:
-                values[node_index[node], -1] = node_values_map[name]
-        varying_attrs[name] = node_frame(new_times, values, time_index)
-
-    edge_index = graph.edge_presence._rows_copy()
-    distinct_edges = dict.fromkeys(edges)
-    new_edge_ids = [e for e in distinct_edges if e not in edge_index]
-    all_edges = graph.edges + tuple(new_edge_ids)
-    edge_index.update(zip(new_edge_ids, range(n_edges, len(all_edges))))
-    edge_rows = np.sort(_rows_of(edge_index, distinct_edges))
-    edge_values = np.zeros((len(all_edges), len(new_times)), dtype=np.uint8)
-    edge_values[:n_edges, :-1] = graph.edge_presence.values
-    edge_values[edge_rows, -1] = 1
+    node_presence = node_frame(new_times, views["nodes"], time_index)
+    static_attrs = node_frame(static_names, views["static"], None)
+    varying_attrs = {
+        name: node_frame(new_times, views[_VARYING + name], time_index)
+        for name in varying_names
+    }
     edge_presence = LabeledFrame._adopt(
-        all_edges, new_times, edge_values, edge_index, time_index
+        all_edges, new_times, views["edges"], edge_index, time_index
     )
-
     edge_attr_frame: LabeledFrame | None = None
     if graph.edge_attrs is not None:
-        names = graph.edge_attrs.col_labels
-        attr_values = np.empty((len(all_edges), len(names)), dtype=object)
-        attr_values[:n_edges] = graph.edge_attrs.values
-        for i, edge in enumerate(new_edge_ids):
-            provided = update.edge_attrs.get(edge, {})
-            for col, name in enumerate(names):
-                attr_values[n_edges + i, col] = provided.get(str(name))
         edge_attr_frame = LabeledFrame._adopt(
-            all_edges, names, attr_values, edge_index
+            all_edges, graph.edge_attrs.col_labels, views["edge_attrs"], edge_index
         )
 
     appended = TemporalGraph(
@@ -212,12 +254,13 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         validate=False,
         edge_attrs=edge_attr_frame,
         # Keep the input graph's backend *selection*.  The appended
-        # graph is a fresh value over fresh arrays, so a columnar input
+        # graph is a new value over new views, so a columnar input
         # rebuilds its layout lazily — the published version stays
         # immutable and earlier versions keep their own backends.
         storage=graph.storage_name,
     )
     carried = appended._carried
+    carried.frames = frames
     parent_rows = graph._resolved_endpoint_rows()
     if parent_rows is not None:
         carried.endpoints = _carried_endpoint_rows(
@@ -231,7 +274,7 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
             present,
             edge_rows,
             static={
-                str(name): static_values[n_nodes:, col]
+                str(name): views["static"][n_nodes:, col]
                 for col, name in enumerate(static_names)
             },
             varying={
@@ -240,6 +283,26 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
             },
         )
     return appended
+
+
+#: The prefix of a time-varying attribute's frame buffer name.
+_VARYING = "varying:"
+
+
+def _write_new_rows(
+    values: np.ndarray,
+    names: Sequence[Hashable],
+    first: int,
+    labels: Sequence[Hashable],
+    provided: Mapping[Hashable, Mapping[str, Any]],
+) -> None:
+    """Write into rows ``first ..`` of ``values``, whose columns are the
+    attributes ``names``, the values ``provided`` for the new entities
+    ``labels``; a value not provided is ``None``."""
+    for i, label in enumerate(labels):
+        given = provided.get(label, {})
+        for col, name in enumerate(names):
+            values[first + i, col] = given.get(str(name))
 
 
 def _rows_of(index: Mapping[Hashable, int], labels: Iterable[Hashable]) -> np.ndarray:

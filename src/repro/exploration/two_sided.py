@@ -186,18 +186,26 @@ def two_sided_explore(
         )
         if p.count >= k
     ]
-    kept = []
-    for candidate in passing:
-        if goal is Goal.MINIMAL:
-            dominated = any(
-                other is not candidate and candidate.contains(other)
-                for other in passing
-            )
-        else:
-            dominated = any(
-                other is not candidate and other.contains(candidate)
-                for other in passing
-            )
-        if not dominated:
-            kept.append(candidate)
-    return kept
+    if not passing:
+        return []
+    # Each passing pair is a point (old start, old stop, new start, new
+    # stop) of a grid.  The pairs a pair contains lie in the box of points
+    # with a later or equal start and an earlier or equal stop on both
+    # sides; those that contain it, in the opposite box.  Reversing the
+    # axes of the later-or-equal bounds makes every bound a prefix, so
+    # one running sum per axis counts every box.  Each box holds its own
+    # pair, so a pair is kept when its box counts one.
+    n = len(graph.timeline)
+    corners = tuple(
+        np.array(
+            [(p.old.start, p.old.stop, p.new.start, p.new.stop) for p in passing]
+        ).T
+    )
+    grid = np.zeros((n, n, n, n), dtype=np.int32)
+    grid[corners] = 1
+    later = (0, 2) if goal is Goal.MINIMAL else (1, 3)
+    grid = np.flip(grid, later)
+    for axis in range(4):
+        grid = grid.cumsum(axis=axis, dtype=np.int32)
+    kept = np.flip(grid, later)[corners] == 1
+    return [pair for pair, keep in zip(passing, kept.tolist()) if keep]

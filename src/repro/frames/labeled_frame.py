@@ -84,9 +84,7 @@ class LabeledFrame:
                 f"({len(self._row_labels)}, {len(self._col_labels)})"
             )
         self._values = array
-        self._row_index: dict[Hashable, int] | None = _build_index(
-            self._row_labels, "row"
-        )
+        self._row_index = _build_index(self._row_labels, "row")
         self._col_index = _build_index(self._col_labels, "column")
 
     @classmethod
@@ -95,16 +93,17 @@ class LabeledFrame:
         row_labels: tuple[Hashable, ...],
         col_labels: tuple[Hashable, ...],
         values: np.ndarray,
-        row_index: dict[Hashable, int] | None = None,
+        row_index: dict[Hashable, int],
         col_index: dict[Hashable, int] | None = None,
     ) -> "LabeledFrame":
         """A frame that owns ``values`` and the given label indexes as is.
 
         No copy and no shape or duplicate-label check: the caller hands
         over a freshly built array and indexes that match the labels and
-        that nothing mutates, so frames may share them.  A ``None`` row
-        index is built on the first label lookup; a ``None`` column
-        index is built (and validated) now.
+        that nothing else mutates, so frames may share them.  A row
+        index is either complete or empty, and an empty one is filled on
+        the first label lookup, in place, for every frame that shares
+        it; a ``None`` column index is built (and validated) now.
         """
         frame = cls.__new__(cls)
         frame._row_labels, frame._col_labels = row_labels, col_labels
@@ -115,17 +114,18 @@ class LabeledFrame:
         return frame
 
     def _rows(self) -> dict[Hashable, int]:
-        """Row label -> position (built lazily after :meth:`take`)."""
-        if self._row_index is None:
-            self._row_index = {
-                label: row for row, label in enumerate(self._row_labels)
-            }
-        return self._row_index
+        """Row label -> position (filled lazily after :meth:`take`).  The
+        labels are unique, so an index holding fewer entries is not
+        filled yet; filling it twice writes the same entries."""
+        index = self._row_index
+        if len(index) < len(self._row_labels):
+            index.update(zip(self._row_labels, range(len(self._row_labels))))
+        return index
 
     def _rows_copy(self) -> dict[Hashable, int]:
         """A new row label -> position dict the caller may grow; a frame
-        whose index was never built does not build one for this."""
-        if self._row_index is None:
+        whose index was never filled does not fill it for this."""
+        if len(self._row_index) < len(self._row_labels):
             return {label: row for row, label in enumerate(self._row_labels)}
         return dict(self._row_index)
 
@@ -292,22 +292,50 @@ class LabeledFrame:
         the ``np.flatnonzero`` positions of their presence masks.
         """
         positions = np.asarray(rows, dtype=np.intp)
+        col_axis = None if cols is None else self._col_axis(cols)
+        return self._taken(positions, self._row_axis(positions), col_axis)
+
+    def _row_axis(
+        self, positions: np.ndarray
+    ) -> tuple[tuple[Hashable, ...], dict[Hashable, int]]:
+        """The row labels at ``positions`` and their row index, for every
+        frame taken at the same positions to share.  Unordered (possibly
+        repeated) positions validate the labels now; increasing ones keep
+        them unique, so the index waits for the first label lookup (most
+        takes never see one)."""
         labels = tuple(map(self._row_labels.__getitem__, positions.tolist()))
-        col_index: dict[Hashable, int] | None = None
-        if cols is None:
-            col_labels, values = self._col_labels, self._values[positions]
-            col_index = self._col_index
-        else:
-            col_labels = tuple(cols)
-            values = self._values[
-                np.ix_(positions, [self.col_position(c) for c in cols])
-            ]
         if positions.size > 1 and not (np.diff(positions) > 0).all():
-            # Unordered (possibly repeated) positions: validate labels.
-            return LabeledFrame(labels, col_labels, values)
-        # Increasing positions keep the labels unique, so the row index
-        # can wait for the first label lookup (most takes never see one).
-        return LabeledFrame._adopt(labels, col_labels, values, None, col_index)
+            return labels, _build_index(labels, "row")
+        return labels, {}
+
+    def _col_axis(
+        self, cols: Sequence[Hashable]
+    ) -> tuple[list[int], tuple[Hashable, ...], dict[Hashable, int]]:
+        """The positions of the columns ``cols``, their labels and their
+        (validated) column index, for every frame with these columns to
+        share."""
+        labels = tuple(cols)
+        index = _build_index(labels, "column")
+        return [self.col_position(c) for c in labels], labels, index
+
+    def _taken(
+        self,
+        positions: np.ndarray,
+        row_axis: tuple[tuple[Hashable, ...], dict[Hashable, int]],
+        col_axis: tuple[list[int], tuple[Hashable, ...], dict[Hashable, int]]
+        | None = None,
+    ) -> "LabeledFrame":
+        """:meth:`take` over a :meth:`_row_axis` and a :meth:`_col_axis`
+        (``None``: every column) that several frames share."""
+        labels, row_index = row_axis
+        if col_axis is None:
+            return LabeledFrame._adopt(
+                labels, self._col_labels, self._values[positions], row_index,
+                self._col_index,
+            )
+        cols, col_labels, col_index = col_axis
+        values = self._values[np.ix_(positions, cols)]
+        return LabeledFrame._adopt(labels, col_labels, values, row_index, col_index)
 
     def select_rows_present(self, rows: Iterable[Hashable]) -> "LabeledFrame":
         """Like :meth:`select_rows` but silently skips unknown labels.

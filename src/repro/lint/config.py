@@ -46,6 +46,8 @@ DEFAULTS: dict[str, Any] = {
             "repro.core.operators",
             "repro.core.aggregation",
             "repro.core.evolution",
+            "repro.core.updates",
+            "repro.core.cells",
             "repro.frames.*",
         ],
         "exempt": [],

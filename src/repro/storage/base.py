@@ -303,7 +303,8 @@ def resolve_endpoint_rows(
 class CarriedState:
     """What a graph derives from its frames once and hands on: its
     :meth:`GraphStorageBackend.endpoint_rows` and its cell index
-    (:class:`repro.core.cells.CellIndex`).
+    (:class:`repro.core.cells.CellIndex`), and, for a graph that
+    ``append_snapshot`` made, the token of the buffers its frames view.
 
     One instance serves every graph over the same frames (``with_storage``
     shares it) and the backend built from them.  ``append_snapshot``
@@ -313,11 +314,15 @@ class CarriedState:
     first use; otherwise a part is built from the frames on first use.
     """
 
-    __slots__ = ("endpoints", "cells", "source")
+    __slots__ = ("endpoints", "cells", "frames", "source")
 
     def __init__(self) -> None:
         self.endpoints: tuple[np.ndarray, np.ndarray] | None = None
         self.cells: Any = None
+        #: ``(lineage, generation)``: the append-only buffers
+        #: (:class:`repro.core.cells._Lineage`) whose prefixes are this
+        #: graph's frames, and the extension that wrote them.
+        self.frames: tuple[Any, int] | None = None
         #: ``(parent graph, node rows, edge rows, times)`` of a graph made
         #: by ``take``, until both parts are derived from the parent's.
         self.source: tuple[Any, np.ndarray, np.ndarray, tuple[Hashable, ...]] | None = None
@@ -365,13 +370,15 @@ class CarriedState:
             self.source = None
 
     def __getstate__(self) -> dict[str, Any]:
-        # The cell index shares buffers (and their lock) between
-        # versions; a copy in another process rebuilds its own.
+        # The cell index and the frames share buffers (and their lock)
+        # between versions; a copy in another process rebuilds its own
+        # index, and its frames are copies that share nothing.
         return {"endpoints": self.endpoints}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.endpoints = state["endpoints"]
         self.cells = None
+        self.frames = None
         self.source = None
 
 

@@ -767,6 +767,24 @@ def _label_frames(graph: TemporalGraph) -> list[Any]:
     return frames if graph.edge_attrs is None else [*frames, graph.edge_attrs]
 
 
+def _frame_copies(graph: TemporalGraph) -> list[np.ndarray]:
+    """A copy of every frame array of a graph."""
+    return [frame.values.copy() for frame in _label_frames(graph)]
+
+
+def _frames_changed(graph: TemporalGraph, copies: list[np.ndarray]) -> bool:
+    """Whether a frame array of ``graph`` differs from its copy in any
+    bit; an object cell must hold the very same object."""
+    return any(
+        array.dtype != copy.dtype
+        or array.shape != copy.shape
+        or array.tobytes() != copy.tobytes()
+        for array, copy in zip(
+            (frame.values for frame in _label_frames(graph)), copies, strict=True
+        )
+    )
+
+
 def _carried_state_problem(
     parent: TemporalGraph, child: TemporalGraph
 ) -> str | None:
@@ -802,7 +820,8 @@ def _carried_state_problem(
     "bit-exactly, publishes one monotonic version per append, keeps "
     "delta-maintained totals equal to the direct aggregate, and carries "
     "endpoint rows, row indexes and the cell index equal to those rebuilt "
-    "from labels and frames, leaving the parent's index unchanged",
+    "from labels and frames, leaving the parent's index and every bit of "
+    "its frames unchanged, also after a sibling append",
     hostile_safe=False,
 )
 def _streaming_replay_identity(
@@ -814,15 +833,20 @@ def _streaming_replay_identity(
     store = StreamingStore(initial, views=[totals])
     fired: list[int] = []
     store.on_append(lambda version: fired.append(version.version))
+    # Each parent's frames, copied before it was appended to.
+    frames: list[list[np.ndarray]] = []
     for update in updates:
         parent = store.graph
         before = parent._cell_index().decoded()
+        frames.append(_frame_copies(parent))
         store.append_snapshot(update)
         problem = _carried_state_problem(parent, store.graph)
         if problem:
             return problem
         if parent._cell_index().decoded() != before:
             return f"appending {update.time!r} changed the parent's cell index"
+        if _frames_changed(parent, frames[-1]):
+            return f"appending {update.time!r} changed the parent's frames"
     if graph_to_maps(store.graph) != graph_to_maps(graph):
         return "replayed graph diverges from the original"
     if store.version != len(updates) or fired != list(range(1, len(updates) + 1)):
@@ -835,18 +859,29 @@ def _streaming_replay_identity(
     if problems:
         return f"delta-maintained union total diverges: {problems[0]}"
     if len(updates) > 1:
-        # A sibling of version 1 with other content extends the initial
-        # version, no longer its buffers' tip: the replay must not change.
+        # Siblings with other content: of version 1, off the initial
+        # version, no longer its cell index's tip; and of version 2, off
+        # version 1, no longer its frame buffers' tip (the initial
+        # version's frames are its own).  The replay must not change.
         last = updates[-1]
-        append_snapshot(
-            initial,
-            SnapshotUpdate(
-                updates[0].time, last.nodes, last.static, last.edges, last.edge_attrs
-            ),
-        )
-        problem = _cells_problem(store.at_version(1).graph)
-        if problem:
-            return f"a sibling append changed version 1: {problem}"
+        for version in (0, 1):
+            append_snapshot(
+                store.at_version(version).graph,
+                SnapshotUpdate(
+                    updates[version].time,
+                    last.nodes,
+                    last.static,
+                    last.edges,
+                    last.edge_attrs,
+                ),
+            )
+        for version, copies in enumerate(frames):
+            replayed = store.at_version(version).graph
+            problem = _cells_problem(replayed)
+            if problem:
+                return f"a sibling append changed version {version}: {problem}"
+            if _frames_changed(replayed, copies):
+                return f"a sibling append changed the frames of version {version}"
     # The same frozen updates must replay a second time verbatim — the
     # regression the SnapshotUpdate freeze exists for.
     # No reads between these appends: rows carry from version to version

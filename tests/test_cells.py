@@ -3,6 +3,7 @@ frames, carried by appends, derived by operators and shared by
 ``with_storage`` -- and every way of getting it decodes to the index
 built from the graph's own frames."""
 
+import copy
 import os
 import pickle
 import sys
@@ -32,6 +33,7 @@ from repro.core.cells import build_cells
 from repro.datasets import paper_example
 from repro.storage import backend_names
 from repro.storage.base import resolve_endpoint_rows
+from repro.testing.generators import graph_from_maps, graph_to_maps
 from repro.testing.reference import aggregate_reference
 
 
@@ -75,6 +77,25 @@ def sibling_updates(label, count=2):
         for i in range(count - 1)
     ]
     return updates
+
+
+def maps_after(maps, update):
+    """``graph_to_maps`` of a graph whose maps are ``maps``, after
+    appending ``update``."""
+    after = copy.deepcopy(maps)
+    label = update.time
+    after["times"].append(label)
+    for node, values in update.nodes.items():
+        if node not in after["node_times"]:
+            after["node_times"][node] = []
+            after["static"][node] = dict(update.static[node])
+        after["node_times"][node].append(label)
+        for name, value in values.items():
+            if value is not None:
+                after["varying"].setdefault(node, {}).setdefault(name, {})[label] = value
+    for edge in update.edges:
+        after["edge_times"].setdefault(edge, []).append(label)
+    return after
 
 
 class TestBuiltIndex:
@@ -158,6 +179,7 @@ class TestCarriedByAppends:
         # More threads than cores, each appending a different snapshot.
         count = min(8, (os.cpu_count() or 2) + 1)
         tip = indexed_paper_graph()
+        maps = graph_to_maps(tip)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -166,6 +188,9 @@ class TestCarriedByAppends:
             while step < 400 and time.monotonic() < deadline:
                 before = decoded(tip)
                 updates = sibling_updates(f"s{step}", count)
+                expected = [
+                    graph_from_maps(**maps_after(maps, update)) for update in updates
+                ]
                 children = [None] * count
                 errors = []
                 barrier = threading.Barrier(count, timeout=10)
@@ -186,12 +211,15 @@ class TestCarriedByAppends:
                     thread.join(timeout=10)
                     assert not thread.is_alive()
                 assert not errors
-                for child in children:
+                for child, want in zip(children, expected):
                     assert decoded(child) == from_frames(child)
+                    assert child == want
                 assert decoded(tip) == before
+                assert tip == graph_from_maps(**maps)
                 # Every child is the tip of its buffers: one extended the
                 # parent's in place, the others copied them first.
                 tip = children[step % count]
+                maps = maps_after(maps, updates[step % count])
                 step += 1
         finally:
             sys.setswitchinterval(interval)

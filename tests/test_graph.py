@@ -10,6 +10,7 @@ from repro.core import (
     Timeline,
 )
 from repro.frames import LabeledFrame
+from repro.frames.errors import DuplicateLabelError
 
 
 def build_simple() -> TemporalGraph:
@@ -241,3 +242,24 @@ class TestRestricted:
         sub = paper_graph.restricted([], [], ["t0"])
         assert sub.n_nodes == 0
         assert sub.n_edges == 0
+
+    @pytest.mark.parametrize("node_rows", [[0, 2, 3], [3, 0, 2]])
+    def test_take_shares_one_label_tuple_and_index_per_axis(
+        self, paper_graph, node_rows
+    ):
+        sub = paper_graph.take(node_rows, [0, 3], ["t1", "t0"])
+        node_frames = [sub.node_presence, sub.static_attrs]
+        node_frames += sub.varying_attrs.values()
+        for frame in node_frames:
+            assert frame.row_labels is sub.nodes
+            assert frame._row_index is sub.node_presence._row_index
+        assert sub.varying_attrs["publications"].col_labels is sub.timeline.labels
+        assert sub.edge_presence.col_labels is sub.timeline.labels
+        # One lookup fills the index that every node-axis frame reads.
+        assert sub.static_attrs.row_position("u4") == node_rows.index(3)
+        assert len(sub.node_presence._row_index) == 3
+        assert sub.attribute_value("u4", "publications", "t1") == 1
+
+    def test_take_rejects_repeated_rows(self, paper_graph):
+        with pytest.raises(DuplicateLabelError):
+            paper_graph.take([0, 0], [], ["t0"])

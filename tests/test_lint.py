@@ -66,8 +66,12 @@ GT001_GOOD = """
 """
 
 
-def test_gt001_flags_input_mutation(tmp_path: Path) -> None:
-    violations = lint_snippet(tmp_path, "src/repro/core/operators.py", GT001_BAD)
+# Appended versions share their parent's frame buffers, so a write into
+# an input's frames on the append path (updates, cells) would change
+# every version.
+@pytest.mark.parametrize("module", ["operators", "updates", "cells"])
+def test_gt001_flags_input_mutation(tmp_path: Path, module: str) -> None:
+    violations = lint_snippet(tmp_path, f"src/repro/core/{module}.py", GT001_BAD)
     gt001 = [v for v in violations if v.rule == "GT001"]
     assert len(gt001) == 3
     assert "immutable" in gt001[0].message

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from repro.core import Interval, TemporalGraphBuilder
+from repro.core import Interval, TemporalGraphBuilder, project
 from repro.exploration import (
+    EntityKind,
     EventType,
     Goal,
     Semantics,
@@ -148,6 +149,59 @@ class TestTwoSidedExplore:
             two_sided_explore(
                 small_movielens, EventType.GROWTH, Goal.MINIMAL, 0
             )
+
+
+def loop_filter(passing, goal):
+    """The pairs of ``passing`` that no other passing pair is contained
+    in (minimal) or contains (maximal): the quadratic loop that
+    ``two_sided_explore`` replaced, kept as its oracle."""
+    kept = []
+    for candidate in passing:
+        if goal is Goal.MINIMAL:
+            dominated = any(
+                other is not candidate and candidate.contains(other)
+                for other in passing
+            )
+        else:
+            dominated = any(
+                other is not candidate and other.contains(candidate)
+                for other in passing
+            )
+        if not dominated:
+            kept.append(candidate)
+    return kept
+
+
+class TestAgainstTheLoop:
+    @pytest.fixture()
+    def dblp_10(self, small_dblp):
+        """The first 10 points of DBLP: 495 pairs, quick for the loop."""
+        return project(small_dblp, small_dblp.timeline.labels[:10])
+
+    @pytest.mark.parametrize("entity", list(EntityKind))
+    @pytest.mark.parametrize("goal", [Goal.MINIMAL, Goal.MAXIMAL])
+    @pytest.mark.parametrize("event", list(EventType))
+    @pytest.mark.parametrize(
+        "fixture", ["paper_graph", "tiny_graph", "small_movielens", "dblp_10"]
+    )
+    def test_same_pairs_in_the_same_order(
+        self, request, fixture, event, goal, entity
+    ):
+        graph = request.getfixturevalue(fixture)
+        semantics = (
+            Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
+        )
+        pairs = two_sided_counts(graph, event, semantics, entity=entity)
+        counts = sorted(pair.count for pair in pairs)
+        # Thresholds from 1 to past the largest count, by quartile.
+        thresholds = {1, counts[-1] + 1} | {
+            max(1, counts[len(counts) * q // 4]) for q in range(4)
+        }
+        for k in sorted(thresholds):
+            passing = [pair for pair in pairs if pair.count >= k]
+            assert two_sided_explore(
+                graph, event, goal, k, entity=entity
+            ) == loop_filter(passing, goal)
 
 
 class TestTwoSidedPair:
