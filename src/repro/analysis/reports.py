@@ -25,6 +25,7 @@ from ..core import (
 )
 from ..exploration import (
     EntityKind,
+    EventCounter,
     EventType,
     ExplorationResult,
     ExtendSide,
@@ -156,8 +157,11 @@ def exploration_report(
     title: str = "",
 ) -> ExplorationReport:
     """Run one exploration case at several thresholds and tabulate the
-    interval pairs found (the content of the paper's Figures 13/14)."""
+    interval pairs found (the content of the paper's Figures 13/14).
+
+    Every threshold reads one counter, built for the first valid one."""
     results: dict[int, ExplorationResult] = {}
+    counter: EventCounter | None = None
     rows = []
     labels = graph.timeline.labels
 
@@ -168,6 +172,8 @@ def exploration_report(
         return f"[{labels[interval.start]}..{labels[interval.stop]}]({side.semantics})"
 
     for k in thresholds:
+        if counter is None and k >= 1:
+            counter = EventCounter(graph, entity, attributes, key)
         result = explore(
             graph,
             event,
@@ -177,6 +183,7 @@ def exploration_report(
             entity=entity,
             attributes=attributes,
             key=key,
+            counter=counter,
         )
         results[k] = result
         if result.pairs:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -105,45 +106,21 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
 
     incoming = update.nodes
     varying_names = graph.varying_attribute_names
-    for node, values in incoming.items():
-        unknown = set(values) - set(varying_names)
-        if unknown:
-            raise UnknownLabelError(
-                f"unknown time-varying attributes for {node!r}: {sorted(unknown)}"
-            )
-
+    _check_names(incoming, set(varying_names), "time-varying")
     # Attribute *names* are validated for every entry the update carries,
     # not just first-appearance nodes/edges — values for known entities
     # are still ignored, but a misspelled name never passes silently.
-    static_name_set = {str(c) for c in graph.static_attrs.col_labels}
-    for node, provided in update.static.items():
-        unknown = set(provided) - static_name_set
-        if unknown:
-            raise UnknownLabelError(
-                f"unknown static attributes for {node!r}: {sorted(unknown)}"
-            )
+    _check_names(
+        update.static, {str(c) for c in graph.static_attrs.col_labels}, "static"
+    )
     edge_attr_names = (
         {str(c) for c in graph.edge_attrs.col_labels}
         if graph.edge_attrs is not None
         else set()
     )
-    for edge, provided in update.edge_attrs.items():
-        unknown = set(provided) - edge_attr_names
-        if unknown:
-            raise UnknownLabelError(
-                f"unknown edge attributes for {edge!r}: {sorted(unknown)}"
-            )
-
-    # Every edge is a (u, v) pair of snapshot nodes, so the rows carried
-    # for new edges below always resolve.
+    _check_names(update.edge_attrs, edge_attr_names, "edge")
     edges = update.edges
-    for edge in edges:
-        if not (isinstance(edge, tuple) and len(edge) == 2):
-            raise ValidationError(f"update edges must be (u, v) tuples, got {edge!r}")
-        if edge[0] not in incoming or edge[1] not in incoming:
-            raise ValidationError(
-                f"edge {edge!r} references a node absent from the snapshot"
-            )
+    _check_edges(edges, incoming)
 
     n_nodes, n_edges = graph.n_nodes, graph.n_edges
     time_index = {t: i for i, t in enumerate(new_times)}
@@ -287,6 +264,44 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
 
 #: The prefix of a time-varying attribute's frame buffer name.
 _VARYING = "varying:"
+
+
+def _check_names(
+    entries: Mapping[Hashable, Mapping[str, Any]], allowed: set[str], kind: str
+) -> None:
+    """Raise :class:`UnknownLabelError` naming the first entry that names
+    a ``kind`` attribute outside ``allowed``.  Every entry's names are
+    checked at once; the entries are scanned only to name the offender."""
+    if set().union(*entries.values()) <= allowed:
+        return
+    for label, provided in entries.items():
+        unknown = set(provided) - allowed
+        if unknown:
+            raise UnknownLabelError(
+                f"unknown {kind} attributes for {label!r}: {sorted(unknown)}"
+            )
+
+
+def _check_edges(edges: tuple[Any, ...], nodes: Mapping[NodeId, Any]) -> None:
+    """Raise :class:`ValidationError` naming the first edge that is not a
+    ``(u, v)`` pair of snapshot ``nodes``, so the rows carried for new
+    edges always resolve.  Checked with set operations; the edges are
+    scanned only to name the offender."""
+    if set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}:
+        try:
+            endpoints = set(map(itemgetter(0), edges))
+            endpoints.update(map(itemgetter(1), edges))
+        except TypeError:  # an unhashable endpoint; the scan raises on it
+            endpoints = None
+        if endpoints is not None and endpoints <= nodes.keys():
+            return
+    for edge in edges:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            raise ValidationError(f"update edges must be (u, v) tuples, got {edge!r}")
+        if edge[0] not in nodes or edge[1] not in nodes:
+            raise ValidationError(
+                f"edge {edge!r} references a node absent from the snapshot"
+            )
 
 
 def _write_new_rows(

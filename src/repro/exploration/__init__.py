@@ -15,6 +15,7 @@ from .explore import (
 )
 from .groups import GroupExplorationResult, explore_groups
 from .lattice import Semantics, Side
+from .pairs import PairTable
 from .two_sided import (
     TwoSidedPair,
     find_non_monotonic_path,
@@ -38,6 +39,7 @@ __all__ = [
     "Goal",
     "ExtendSide",
     "IntervalPairResult",
+    "PairTable",
     "ExplorationResult",
     "u_explore",
     "i_explore",

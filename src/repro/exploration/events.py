@@ -40,9 +40,10 @@ from typing import Any
 
 import numpy as np
 
-from ..core import Interval, TemporalGraph
+from ..core import TemporalGraph
 from ..core.fast import _distinct, check_no_dangling_edges, static_codes, window_cells
 from .lattice import ExtendSide, Semantics, Side
+from .pairs import EMPTY, PairTable
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
 
@@ -58,6 +59,9 @@ __all__ = [
 
 #: Packed rows of the old and of the new side, one row per chain.
 _Pair = tuple[np.ndarray, np.ndarray]
+
+#: Tabulates the pairs of some references, given their counts.
+_Pairs = Callable[[np.ndarray, np.ndarray], PairTable]
 
 #: Sentinel tuple code for a key whose tuple never occurs in the graph:
 #: distinct from every assigned code (>= 0) and from the "entity absent"
@@ -135,6 +139,16 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     for bit in range(1, 8):
         packed |= grouped[:, bit, :] << bit
     return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def _pack_bits(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """Boolean rows over entities (the last axis) as packed rows of
+    ``n_words`` uint64 words, laid out as :func:`_pack_rows` lays out
+    each time row."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros((*bits.shape[:-1], n_words * 8), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
 
 def _unpack_row(words: np.ndarray, n_rows: int) -> np.ndarray:
@@ -223,22 +237,25 @@ class EventCounter:
 
     Construction builds a key-independent index with array operations:
     the counted entity's presence matrix and the attribute tuple codes,
-    one per entity for static attributes and one per ``(entity, time)``
-    cell (``-1`` where absent) for time-varying ones; edges combine their
-    endpoints' codes through the storage backend's ``endpoint_rows``.
-    The index also packs the presence into time-major bit rows
+    one per entity for static attributes, and for time-varying ones a
+    time-major ``(times, entities)`` grid with one code per cell
+    (``-1`` where the entity is absent); edges combine their endpoints'
+    codes through the storage backend's ``endpoint_rows``.  The index
+    also packs the presence into time-major bit rows
     (``times x ceil(entities / 64)`` uint64 words) with their running
     ANDs from the first point and to the last, which the batched walks
-    of :class:`ChainEvaluator` read.  A static key resolves to a boolean
-    match mask and its packed row; a time-varying one to the code each
-    count compares against and one packed row of key hits per time
-    point (present, and the cell's code equals the key's).
-    :meth:`with_key` binds another key to the same index.
+    of :class:`ChainEvaluator` read.  Binding a key reads the index and
+    builds no part of it: a static key resolves to a boolean match mask
+    and its packed row (one ``np.packbits``); a time-varying one to the
+    code each count compares against and one packed row of key hits per
+    time point (one comparison against the code grid, packed along its
+    rows).  :meth:`with_key` binds another key to the same index.
 
     An edge counter that reads endpoint attributes (time-varying ones,
     or static ones with a key) raises :class:`ExplorationError` if and
     only if a dangling edge is present on the timeline, as a
     whole-timeline aggregate does, naming the first one in row order.
+    The index looks for one once, when it is built.
     """
 
     def __init__(
@@ -258,13 +275,20 @@ class EventCounter:
         self._rows = _pack_rows(self._presence_matrix)
         self._prefix = np.bitwise_and.accumulate(self._rows, axis=0)
         self._suffix = np.bitwise_and.accumulate(self._rows[::-1], axis=0)[::-1]
-        #: Tuple code per entity, or per (entity, time) cell with -1 where
-        #: absent; pair codes for edges.  ``None`` without attributes.
+        #: Static attributes: the tuple code of each entity (pair codes
+        #: for edges).  ``None`` otherwise.
         self._codes: np.ndarray | None = None
-        #: The attribute tuple of each node code.
+        #: Time-varying attributes: the ``(times, entities)`` code grid,
+        #: -1 where the entity is absent.  ``None`` otherwise.
+        self._code_grid: np.ndarray | None = None
+        #: The attribute tuple of each node code, and back.
         self._tuples: list[tuple[Any, ...]] = []
+        self._tuple_codes: dict[tuple[Any, ...], int] = {}
         #: Row stride for building distinct (entity, code) ids.
         self._code_stride = 1
+        #: Why an endpoint-reading bind fails: the dangling-edge error's
+        #: message, or ``None``.
+        self._dangling: str | None = None
         if self.attributes:
             self._build_codes()
         self._bind_key(key)
@@ -280,12 +304,21 @@ class EventCounter:
         else:
             cells = window_cells(graph, self.attributes, range(len(graph.timeline)))
             codes, self._tuples = cells.grid, cells.tuples
+        self._tuple_codes = {t: code for code, t in enumerate(self._tuples)}
         base = max(1, len(self._tuples))
-        if self.entity is EntityKind.NODES:
-            self._codes, self._code_stride = codes, base
-            return
-        self._codes = _pair_codes(codes, *graph.storage.endpoint_rows(), base)
-        self._code_stride = base * base
+        self._code_stride = base
+        if self.entity is EntityKind.EDGES:
+            codes = _pair_codes(codes, *graph.storage.endpoint_rows(), base)
+            self._code_stride = base * base
+            try:
+                check_no_dangling_edges(graph, error=ExplorationError)
+            except ExplorationError as error:
+                self._dangling = str(error)
+        if self._all_static:
+            self._codes = codes
+        else:
+            grid = np.where(self._presence_matrix, codes, -1)
+            self._code_grid = np.ascontiguousarray(grid.T)
 
     def _bind_key(self, key: Any) -> None:
         """Resolve ``key`` against the index: a static match mask, or the
@@ -302,28 +335,29 @@ class EventCounter:
         #: whatever the key.
         self._key_code: int | None = None
         self._hit_rows: np.ndarray = np.zeros((self._rows.shape[0], 0), np.uint64)
-        if self.entity is EntityKind.EDGES and self.attributes and (
-            key is not None or not self._all_static
-        ):
-            check_no_dangling_edges(self.graph, error=ExplorationError)
+        if self._dangling is not None and (key is not None or not self._all_static):
+            raise ExplorationError(self._dangling)
         if key is None:
             return
         if self.entity is EntityKind.NODES:
-            code = _tuple_code(self._tuples, key)
+            code = self._tuple_codes.get(tuple(key), _UNSEEN_CODE)
         else:
-            source, target = (_tuple_code(self._tuples, side) for side in key)
+            source, target = (
+                self._tuple_codes.get(tuple(side), _UNSEEN_CODE) for side in key
+            )
             code = (
                 source * max(1, len(self._tuples)) + target
                 if source >= 0 and target >= 0
                 else _UNSEEN_CODE
             )
-        assert self._codes is not None
-        if self._all_static:
+        n_words = self._rows.shape[1]
+        if self._code_grid is None:
+            assert self._codes is not None
             self._match_mask = self._codes == code
-            self._match_row = _pack_rows(self._match_mask[:, None])[0]
+            self._match_row = _pack_bits(self._match_mask, n_words)
         else:
             self._key_code = code
-            self._hit_rows = _pack_rows(self._presence_matrix & (self._codes == code))
+            self._hit_rows = _pack_bits(self._code_grid == code, n_words)
 
     def with_key(self, key: Any) -> "EventCounter":
         """A counter for ``key`` sharing this counter's presence matrix
@@ -444,21 +478,16 @@ class EventCounter:
         keyless count one sort-based distinct over the masked (entity,
         code) ids.
         """
-        codes = self._codes
-        if codes is None:  # pragma: no cover - guarded by count_for_mask
+        grid = self._code_grid
+        if grid is None:  # pragma: no cover - guarded by count_for_mask
             raise ExplorationError("tuple codes were not built for this counter")
-        window = self._event_window_indices(event, old, new)
-        window_codes = codes[:, window]
-        valid = (
-            self._presence_matrix[:, window]
-            & (window_codes >= 0)
-            & mask[:, None]
-        )
+        window_codes = grid[self._event_window_indices(event, old, new)]
+        valid = (window_codes >= 0) & mask
         if self.key is not None:
             hits = valid & (window_codes == self._key_code)
-            return int(hits.any(axis=1).sum())
-        rows, cols = np.nonzero(valid)
-        ids = rows * self._code_stride + window_codes[rows, cols]
+            return int(hits.any(axis=0).sum())
+        cols, rows = np.nonzero(valid)
+        ids = rows * self._code_stride + window_codes[cols, rows]
         return int(_distinct(ids).size)
 
 
@@ -500,28 +529,61 @@ class ChainEvaluator:
         self.event = event
 
     @staticmethod
-    def chain_sides(
-        reference: int, depth: int, extend: ExtendSide, semantics: Semantics
-    ) -> tuple[Side, Side]:
-        """The pair at ``depth`` (from 1) of a reference's chain: the
-        point ``reference`` against ``[reference+1..reference+depth]``
-        (extending NEW), or ``[reference+1-depth..reference]`` against the
-        point ``reference + 1`` (extending OLD)."""
+    def chain_pairs(
+        references: Any,
+        depths: Any,
+        counts: Any,
+        extend: ExtendSide,
+        semantics: Semantics,
+    ) -> PairTable:
+        """The pairs at ``depths`` (from 1) of the chains of
+        ``references``, with their ``counts``: the point ``reference``
+        against ``[reference+1..reference+depth]`` (extending NEW), or
+        ``[reference+1-depth..reference]`` against the point
+        ``reference + 1`` (extending OLD)."""
+        references = np.asarray(references)
         if extend is ExtendSide.NEW:
-            extended = Side(Interval(reference + 1, reference + depth), semantics)
-            return Side.point(reference), extended
-        extended = Side(Interval(reference + 1 - depth, reference), semantics)
-        return extended, Side.point(reference + 1)
+            return PairTable.of(
+                references,
+                references,
+                references + 1,
+                references + depths,
+                counts,
+                Semantics.UNION,
+                semantics,
+            )
+        return PairTable.of(
+            references + 1 - depths,
+            references,
+            references + 1,
+            references + 1,
+            counts,
+            semantics,
+            Semantics.UNION,
+        )
 
-    @staticmethod
-    def _consecutive_sides(i: int) -> tuple[Side, Side]:
-        return Side.point(i), Side.point(i + 1)
+    @classmethod
+    def chain_sides(
+        cls, reference: int, depth: int, extend: ExtendSide, semantics: Semantics
+    ) -> tuple[Side, Side]:
+        """The sides of the pair at ``depth`` of a reference's chain
+        (see :meth:`chain_pairs`)."""
+        pair = cls.chain_pairs(reference, depth, 0, extend, semantics)[0]
+        return pair.old, pair.new
 
-    def _longest_sides(self, extend: ExtendSide, i: int) -> tuple[Side, Side]:
-        if extend is ExtendSide.OLD:
-            return Side(Interval(0, i), Semantics.INTERSECTION), Side.point(i + 1)
+    def _consecutive_pairs(self, references: np.ndarray, counts: np.ndarray) -> PairTable:
+        """The point pairs ``(T_i, T_{i+1})`` of ``references``: the first
+        pair of each chain."""
+        return self.chain_pairs(references, 1, counts, ExtendSide.NEW, Semantics.UNION)
+
+    def _longest_pairs(
+        self, extend: ExtendSide, references: np.ndarray, counts: np.ndarray
+    ) -> PairTable:
+        """Per reference, its longest intersection-semantics extension of
+        the ``extend`` side: the last pair of its chain."""
         last = self.counter._rows.shape[0] - 1
-        return Side.point(i), Side(Interval(i + 1, last), Semantics.INTERSECTION)
+        depths = references + 1 if extend is ExtendSide.OLD else last - references
+        return self.chain_pairs(references, depths, counts, extend, Semantics.INTERSECTION)
 
     # ------------------------------------------------------------------
     # Chain walks, one depth at a time
@@ -602,12 +664,12 @@ class ChainEvaluator:
         for depth, live, pair, hits, retire in self.walk_depths(
             start, stop, extend, semantics
         ):
-            sides = []
+            sides: list[tuple[Side, Side]] = []
             if counter._counts_appearances:
-                sides = [
-                    self.chain_sides(reference, depth, extend, semantics)
-                    for reference in (start + live).tolist()
-                ]
+                named = self.chain_pairs(
+                    start + live, depth, np.zeros(live.size), extend, semantics
+                )
+                sides = [(p.old, p.new) for p in named]
             counts = counter._packed_counts(self.event, *pair, hits, sides)
             yield depth, live, counts, retire
 
@@ -618,13 +680,13 @@ class ChainEvaluator:
         extend: ExtendSide,
         semantics: Semantics,
         k: int,
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
+    ) -> tuple[PairTable, int]:
         """U-Explore (union semantics) or I-Explore (intersection) over
         the chains of references ``start .. stop-1``: a chain retires at
         its first pair reaching ``k`` (U-Explore, reporting it) or at its
         first failure (I-Explore, reporting the last pass).  Returns the
-        reported ``(old, new, count)`` triples in reference order and the
-        number of pairs evaluated."""
+        table of reported pairs in reference order and the number of
+        pairs evaluated."""
         return self._walk(start, stop, extend, semantics, k, prune=True)
 
     def walk_exhaustive(
@@ -634,7 +696,7 @@ class ChainEvaluator:
         extend: ExtendSide,
         semantics: Semantics,
         k: int,
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
+    ) -> tuple[PairTable, int]:
         """:meth:`walk_chains` unpruned: a chain reports its first pair
         reaching ``k`` under union semantics (the minimal one, Definition
         3.4) or its last under intersection (the maximal one, 3.5)."""
@@ -648,7 +710,7 @@ class ChainEvaluator:
         semantics: Semantics,
         k: int,
         prune: bool,
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
+    ) -> tuple[PairTable, int]:
         union = semantics is Semantics.UNION
         size = max(0, stop - start)
         found_depth = np.zeros(size, dtype=np.intp)
@@ -668,14 +730,9 @@ class ChainEvaluator:
             found_depth[live[passed]] = depth
             found_count[live[passed]] = counts[passed]
         chains = np.flatnonzero(found_depth)
-        pairs = [
-            (*self.chain_sides(reference, depth, extend, semantics), count)
-            for reference, depth, count in zip(
-                (start + chains).tolist(),
-                found_depth[chains].tolist(),
-                found_count[chains].tolist(),
-            )
-        ]
+        pairs = self.chain_pairs(
+            start + chains, found_depth[chains], found_count[chains], extend, semantics
+        )
         return pairs, evaluations
 
     # ------------------------------------------------------------------
@@ -689,31 +746,32 @@ class ChainEvaluator:
         references ``i`` in ``start .. stop-1`` (default: every pair),
         all evaluated together -- threshold initialization (Section 3.5)
         and the degenerate minimal cases of Table 1."""
+        last = self.counter._rows.shape[0] - 1 if stop is None else stop
+        return self._consecutive_counts(start, last).tolist()
+
+    def _consecutive_counts(self, start: int, stop: int) -> np.ndarray:
         rows, hit_rows = self.counter._rows, self.counter._hit_rows
-        last = rows.shape[0] - 1 if stop is None else stop
-        if last <= start:
-            return []
-        head, tail = slice(start, last), slice(start + 1, last + 1)
+        if stop <= start:
+            return np.zeros(0, dtype=np.int64)
+        head, tail = slice(start, stop), slice(start + 1, stop + 1)
         return self._batch_counts(
             rows[head],
             rows[tail],
             (hit_rows[head], hit_rows[tail]),
-            self._consecutive_sides,
+            self._consecutive_pairs,
             start,
-            last,
+            stop,
         )
 
-    def walk_consecutive(
-        self, start: int, stop: int, k: int
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
+    def walk_consecutive(self, start: int, stop: int, k: int) -> tuple[PairTable, int]:
         """The consecutive pairs of references ``start .. stop-1`` that
         reach ``k``, and the number of pairs evaluated."""
-        counts = self.consecutive_counts(start, stop)
-        return self._passing(counts, start, k, self._consecutive_sides)
+        counts = self._consecutive_counts(start, stop)
+        return self._passing(counts, start, k, self._consecutive_pairs)
 
     def walk_longest(
         self, extend: ExtendSide, start: int, stop: int, k: int
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
+    ) -> tuple[PairTable, int]:
         """The longest intersection-semantics extensions of references
         ``start .. stop-1`` that reach ``k``, all evaluated together from
         the counter's prefix (extending OLD) or suffix (extending NEW)
@@ -721,7 +779,7 @@ class ChainEvaluator:
         counter = self.counter
         rows, hit_rows = counter._rows, counter._hit_rows
         if stop <= start:
-            return [], 0
+            return EMPTY, 0
         head, tail = slice(start, stop), slice(start + 1, stop + 1)
         if extend is ExtendSide.OLD:
             old, new = counter._prefix[head], rows[tail]
@@ -732,42 +790,36 @@ class ChainEvaluator:
             suffix_hits = np.bitwise_or.accumulate(hit_rows[::-1], axis=0)[::-1]
             hits = (hit_rows[head], suffix_hits[tail])
 
-        def sides(i: int) -> tuple[Side, Side]:
-            return self._longest_sides(extend, i)
+        def pairs(references: np.ndarray, counts: np.ndarray) -> PairTable:
+            return self._longest_pairs(extend, references, counts)
 
-        counts = self._batch_counts(old, new, hits, sides, start, stop)
-        return self._passing(counts, start, k, sides)
+        counts = self._batch_counts(old, new, hits, pairs, start, stop)
+        return self._passing(counts, start, k, pairs)
 
     def _batch_counts(
         self,
         old: np.ndarray,
         new: np.ndarray,
         hits: tuple[np.ndarray, np.ndarray],
-        sides: Callable[[int], tuple[Side, Side]],
+        pairs: _Pairs,
         start: int,
         stop: int,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Counts of the pairs of references ``start .. stop-1``, given
-        as packed side rows; ``sides`` names a reference's pair."""
-        named = (
-            [sides(i) for i in range(start, stop)]
-            if self.counter._counts_appearances
-            else []
-        )
+        as packed side rows; ``pairs`` tabulates references' pairs."""
+        named: list[tuple[Side, Side]] = []
+        if self.counter._counts_appearances:
+            references = np.arange(start, stop)
+            table = pairs(references, np.zeros(references.size))
+            named = [(p.old, p.new) for p in table]
         counts = self.counter._packed_counts(self.event, old, new, hits, named)
         get_metrics().inc("exploration.chain_steps", stop - start)
-        return counts.tolist()
+        return counts
 
     @staticmethod
     def _passing(
-        counts: list[int],
-        start: int,
-        k: int,
-        sides: Callable[[int], tuple[Side, Side]],
-    ) -> tuple[list[tuple[Side, Side, int]], int]:
-        pairs = [
-            (*sides(i), count)
-            for i, count in enumerate(counts, start)
-            if count >= k
-        ]
-        return pairs, len(counts)
+        counts: np.ndarray, start: int, k: int, pairs: _Pairs
+    ) -> tuple[PairTable, int]:
+        """The table of the pairs reaching ``k``, and the number counted."""
+        passing = np.flatnonzero(counts >= k)
+        return pairs(start + passing, counts[passing]), int(counts.size)

@@ -43,7 +43,8 @@ from typing import Any
 
 from ..core import TemporalGraph
 from .events import ChainEvaluator, EntityKind, EventCounter, EventType
-from .lattice import ExtendSide, Semantics, Side
+from .lattice import ExtendSide, Semantics
+from .pairs import IntervalPairResult, PairTable
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
@@ -72,38 +73,28 @@ class Goal(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IntervalPairResult:
-    """One reported interval pair and its event count."""
-
-    old: Side
-    new: Side
-    count: int
-
-    def __str__(self) -> str:
-        return f"({self.old}, {self.new}): {self.count}"
-
-
-@dataclass(frozen=True)
 class ExplorationResult:
     """The outcome of one exploration run.
 
-    ``evaluations`` counts how many ``result(G)`` computations were
-    performed — the cost metric the monotonicity pruning reduces (used by
-    the pruning-ablation benchmark).
+    ``pairs`` is the :class:`~repro.exploration.pairs.PairTable` of the
+    reported pairs: its length, counts and equality read integer
+    columns, and its :class:`IntervalPairResult` objects are built on
+    the first read of an element.  ``evaluations`` counts how many
+    ``result(G)`` computations were performed — the cost metric the
+    monotonicity pruning reduces (used by the pruning-ablation
+    benchmark).
     """
 
     event: EventType
     goal: Goal
     extend: ExtendSide
     k: int
-    pairs: tuple[IntervalPairResult, ...]
+    pairs: PairTable
     evaluations: int
 
     def best(self) -> IntervalPairResult | None:
         """The pair with the highest count (ties: first)."""
-        if not self.pairs:
-            return None
-        return max(self.pairs, key=lambda pair: pair.count)
+        return self.pairs.best()
 
     def diff(self, other: "ExplorationResult") -> tuple[str, ...]:
         """Human-readable differences from another exploration result.
@@ -140,11 +131,11 @@ class ExplorationResult:
 # Strategies
 #
 # Each Table-1 strategy is one batched ChainEvaluator walk over every
-# reference point of the timeline, returning the reported pairs in
-# reference order and the number of pairs it evaluated.
+# reference point of the timeline, returning the table of reported pairs
+# in reference order and the number of pairs it evaluated.
 # ----------------------------------------------------------------------
 
-_Walk = tuple[list[tuple[Side, Side, int]], int]
+_Walk = tuple[PairTable, int]
 
 
 def _evaluator(counter: EventCounter, event: EventType) -> tuple[ChainEvaluator, int]:
@@ -156,8 +147,7 @@ def _evaluator(counter: EventCounter, event: EventType) -> tuple[ChainEvaluator,
 def _result(
     event: EventType, goal: Goal, extend: ExtendSide, k: int, walk: _Walk
 ) -> ExplorationResult:
-    found, evaluations = walk
-    pairs = tuple([IntervalPairResult(*pair) for pair in found])
+    pairs, evaluations = walk
     return ExplorationResult(event, goal, extend, k, pairs, evaluations)
 
 

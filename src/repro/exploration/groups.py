@@ -32,8 +32,9 @@ from .events import (
     EventType,
     event_mask_from,
 )
-from .explore import ExtendSide, Goal, IntervalPairResult
+from .explore import ExtendSide, Goal
 from .lattice import Semantics
+from .pairs import EMPTY, IntervalPairResult, PairTable
 from ..errors import ExplorationError
 
 __all__ = ["GroupExplorationResult", "explore_groups"]
@@ -48,26 +49,23 @@ class GroupExplorationResult:
     extend: ExtendSide
     k: int
     attributes: tuple[str, ...]
-    #: group key -> the pairs found for that group (one per reference
-    #: point, as in single-group exploration).
-    pairs_by_group: dict[Any, tuple[IntervalPairResult, ...]]
+    #: group key -> the table of pairs found for that group (one per
+    #: reference point, as in single-group exploration).
+    pairs_by_group: dict[Any, PairTable]
     evaluations: int
 
     @property
     def interesting_groups(self) -> tuple[Any, ...]:
         """Groups with at least one qualifying pair, by best count."""
         scored = [
-            (max(p.count for p in pairs), key)
+            (int(pairs.counts.max()), key)
             for key, pairs in self.pairs_by_group.items()
-            if pairs
+            if len(pairs)
         ]
         return tuple(key for _, key in sorted(scored, reverse=True, key=lambda s: (s[0], str(s[1]))))
 
     def best_pair(self, key: Any) -> IntervalPairResult | None:
-        pairs = self.pairs_by_group.get(key, ())
-        if not pairs:
-            return None
-        return max(pairs, key=lambda p: p.count)
+        return self.pairs_by_group.get(key, EMPTY).best()
 
 
 def _group_counter(
@@ -171,18 +169,11 @@ def explore_groups(
         if minimal:
             retire |= (found_depth[live] > 0).all(axis=1)
 
-    pairs_by_group: dict[Any, tuple[IntervalPairResult, ...]] = {}
+    pairs_by_group: dict[Any, PairTable] = {}
     for g, key in enumerate(group_keys):
         chains = np.flatnonzero(found_depth[:, g])
-        pairs_by_group[key] = tuple(
-            IntervalPairResult(
-                *evaluator.chain_sides(reference, depth, extend, semantics), count
-            )
-            for reference, depth, count in zip(
-                chains.tolist(),
-                found_depth[chains, g].tolist(),
-                found_count[chains, g].tolist(),
-            )
+        pairs_by_group[key] = evaluator.chain_pairs(
+            chains, found_depth[chains, g], found_count[chains, g], extend, semantics
         )
     return GroupExplorationResult(
         event=event,

@@ -239,10 +239,6 @@ class LabeledFrame:
         """The value stored at ``(row, col)``."""
         return self._values[self.row_position(row), self.col_position(col)]
 
-    def set_cell(self, row: Hashable, col: Hashable, value: Any) -> None:
-        """Assign one cell in place (used by dataset builders)."""
-        self._values[self.row_position(row), self.col_position(col)] = value
-
     def row(self, label: Hashable) -> np.ndarray:
         """A copy of one row's values."""
         return self._values[self.row_position(label)].copy()

@@ -93,9 +93,10 @@ class QueryServer:
     hierarchy:
         Time hierarchy for cubes the server builds itself.
     cache_capacity:
-        Result-cache entries to keep (0 disables result caching).
-    parse_capacity:
-        Parsed-AST LRU entries to keep (0 disables parse caching).
+        Result-cache entries to keep, and parsed statements: the parse
+        LRU holds as many texts as the result cache holds answers, so
+        every cached answer is reached without parsing again (0 disables
+        both caches).
 
     Requests never block appends and appends never block requests: the
     state swap is one attribute assignment under a small lock, and every
@@ -108,16 +109,10 @@ class QueryServer:
         cube: TemporalGraphCube | None = None,
         hierarchy: TimeHierarchy | None = None,
         cache_capacity: int = 512,
-        parse_capacity: int = 256,
     ) -> None:
-        if parse_capacity < 0:
-            raise ConfigurationError(
-                f"parse capacity must be >= 0, got {parse_capacity}"
-            )
         self.hierarchy = hierarchy
         self.cache = ResultCache(cache_capacity)
         self._lock = threading.Lock()
-        self._parse_capacity = parse_capacity
         self._parsed: OrderedDict[str, QueryExpr] = OrderedDict()
         self._unsubscribe: Callable[[], None] | None = None
         self._state: _State
@@ -202,17 +197,20 @@ class QueryServer:
     # ------------------------------------------------------------------
 
     def _parse(self, text: str) -> QueryExpr:
-        if self._parse_capacity == 0:
-            return parse(text)
-        with self._lock:
-            expr = self._parsed.get(text)
-            if expr is not None:
-                self._parsed.move_to_end(text)
-                return expr
+        capacity = self.cache.capacity
+        if capacity:
+            with self._lock:
+                expr = self._parsed.get(text)
+                if expr is not None:
+                    self._parsed.move_to_end(text)
+                    return expr
+        get_metrics().inc("serving.parse.misses")
         expr = parse(text)
+        if not capacity:
+            return expr
         with self._lock:
             expr = self._parsed.setdefault(text, expr)
-            while len(self._parsed) > self._parse_capacity:
+            while len(self._parsed) > capacity:
                 self._parsed.popitem(last=False)
         return expr
 

@@ -314,14 +314,19 @@ class GraphTempoSession:
             goal=str(goal),
             extend=str(extend),
         ):
+            graph = self.graph
             if k is None:
                 k = suggest_threshold(
-                    self.graph, event, mode="max",
+                    graph, event, mode="max",
                     entity=entity, attributes=attributes, key=key,
                 )
+            # The cube's counter shares one index per graph version; an
+            # invalid k keeps explore's own error.
+            counter = self.cube.event_counter(entity, attributes, key) if k >= 1 else None
             return explore(
-                self.graph, event, goal, extend, k,
+                graph, event, goal, extend, k,
                 entity=entity, attributes=attributes, key=key,
+                counter=counter if counter is not None and counter.graph is graph else None,
             )
 
     def explore_groups(

@@ -40,7 +40,8 @@ from ..core.evolution import (
 from ..core.intervals import TimeSet
 from ..errors import ExplorationError
 from ..exploration.events import ChainStep, EntityKind, EventCounter, EventType
-from ..exploration.explore import ExplorationResult, Goal, IntervalPairResult
+from ..exploration.explore import ExplorationResult, Goal
+from ..exploration.pairs import PairTable
 from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..frames import Table
 from ..obs.metrics import get_metrics
@@ -236,6 +237,11 @@ def aggregation_engines() -> dict[str, Callable[..., AggregateGraph]]:
 # ----------------------------------------------------------------------
 
 
+def _table(found: Sequence[ChainStep]) -> PairTable:
+    """The reported steps as the production pair table."""
+    return PairTable.from_pairs((s.old, s.new, s.count) for s in found)
+
+
 def _step(counter: EventCounter, event: EventType, old: Side, new: Side) -> ChainStep:
     """One pair, both side masks re-reduced from the presence matrix."""
     mask = counter.event_mask(event, old, new)
@@ -350,8 +356,7 @@ def explore_reference(
             if length > taken:
                 get_metrics().inc("exploration.pruned_steps", length - taken)
             found += [] if passing is None else [passing]
-    pairs = tuple(IntervalPairResult(s.old, s.new, s.count) for s in found)
-    return ExplorationResult(event, goal, extend, k, pairs, evaluations)
+    return ExplorationResult(event, goal, extend, k, _table(found), evaluations)
 
 
 def exhaustive_reference(
@@ -379,5 +384,4 @@ def exhaustive_reference(
         passing = [s for s in steps if s.count >= k]
         if passing:
             found.append(passing[0] if goal is Goal.MINIMAL else passing[-1])
-    pairs = tuple(IntervalPairResult(s.old, s.new, s.count) for s in found)
-    return ExplorationResult(event, goal, extend, k, pairs, evaluations)
+    return ExplorationResult(event, goal, extend, k, _table(found), evaluations)

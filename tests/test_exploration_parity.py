@@ -152,6 +152,15 @@ def _assert_ladders_agree(graph, configs):
                     ), (name, config, case, k)
 
 
+def _reported(walk):
+    """A batched walk's pair table as ``(old, new, count)`` triples, and
+    the number of pairs it evaluated."""
+    table, evaluations = walk
+    triples = [(pair.old, pair.new, pair.count) for pair in table]
+    assert all(type(count) is int for _, _, count in triples)
+    return triples, evaluations
+
+
 def _stepped(steps, k):
     """A per-pair walk's ``(old, new, count)`` triples reaching ``k``,
     and the number of pairs it evaluated."""
@@ -220,19 +229,23 @@ class TestThresholdLadders:
                     _ladder(small_dblp, event, config), slices
                 ):
                     where = (config, event, k, start, stop)
-                    assert batched.walk_consecutive(start, stop, k) == _stepped(
+                    assert _reported(
+                        batched.walk_consecutive(start, stop, k)
+                    ) == _stepped(
                         reference_consecutive(counter, event, start, stop), k
                     ), where
                     for extend in ExtendSide:
-                        assert batched.walk_longest(extend, start, stop, k) == (
+                        assert _reported(
+                            batched.walk_longest(extend, start, stop, k)
+                        ) == (
                             _stepped(
                                 reference_longest(counter, event, extend, start, stop),
                                 k,
                             )
                         ), (where, extend)
                         for semantics in Semantics:
-                            assert batched.walk_chains(
-                                start, stop, extend, semantics, k
+                            assert _reported(
+                                batched.walk_chains(start, stop, extend, semantics, k)
                             ) == _stepped_chains(
                                 counter, event, start, stop, extend, semantics, k
                             ), (where, extend, semantics)
@@ -257,8 +270,9 @@ class TestThresholdLadders:
                     evaluator.walk_chains(0, last, extend, Semantics.INTERSECTION, 0)
                     for extend in ExtendSide
                 ]
-                for pairs, _ in walks:
-                    assert len(pairs) == last
+                for walk in walks:
+                    pairs, _ = _reported(walk)
+                    assert len(walk[0]) == len(pairs) == last
                     for old, new, count in pairs:
                         assert count == counter.count(event, old, new), (
                             config, event, old, new

@@ -126,8 +126,9 @@ class TestSharedFrames:
         for array in frame_arrays(child):
             with pytest.raises(ValueError):
                 array[0, 0] = array[0, 0]
+        frame = child.node_presence
         with pytest.raises(ValueError):
-            child.node_presence.set_cell("n0", "t0", 0)
+            frame.values[frame.row_position("n0"), frame.col_position("t0")] = 0
 
     def test_pickled_versions_round_trip_equal(self):
         graph, updates = stream(6)

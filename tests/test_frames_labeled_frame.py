@@ -92,10 +92,6 @@ class TestAccess:
         with pytest.raises(KeyError):
             frame.row_position("nope")
 
-    def test_set_cell(self, frame):
-        frame.set_cell("u3", "t2", 1)
-        assert frame.cell("u3", "t2") == 1
-
     def test_row_returns_copy(self, frame):
         row = frame.row("u1")
         row[0] = 42
@@ -213,7 +209,8 @@ class TestCombination:
 
     def test_copy_is_independent(self, frame):
         clone = frame.copy()
-        clone.set_cell("u1", "t0", 0)
+        clone.values[clone.row_position("u1"), clone.col_position("t0")] = 0
+        assert clone.cell("u1", "t0") == 0
         assert frame.cell("u1", "t0") == 1
 
     def test_equality(self, frame):

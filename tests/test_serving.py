@@ -314,9 +314,45 @@ class TestServer:
         assert delta("serving.cache.hits") == 1
         assert delta("serving.route.cache") == 1
 
-    def test_negative_parse_capacity_rejected(self, paper_graph):
-        with pytest.raises(ConfigurationError):
-            QueryServer(paper_graph, parse_capacity=-1)
+    def test_parse_cache_holds_as_many_texts_as_the_result_cache(
+        self, paper_graph, monkeypatch
+    ):
+        """300 distinct statements served twice by a default server: the
+        second pass reaches every cached answer without parsing again."""
+        import repro.serving.server as server_module
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(server_module, "parse", counting_parse)
+        metrics = get_metrics()
+        before = metrics.snapshot()["counters"].get("serving.parse.misses", 0)
+        server = QueryServer(paper_graph)
+        texts = [f"explore growth minimal extend new k {k} on edges" for k in range(1, 301)]
+        for text in texts + texts:
+            server.serve(text)
+        assert len(parsed) == 300
+        after = metrics.snapshot()["counters"].get("serving.parse.misses", 0)
+        assert after - before == 300
+
+    def test_zero_capacity_parses_every_request(self, paper_graph, monkeypatch):
+        import repro.serving.server as server_module
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(server_module, "parse", counting_parse)
+        server = QueryServer(paper_graph, cache_capacity=0)
+        for _ in range(3):
+            server.serve("aggregate gender all over union [t0]")
+        assert len(parsed) == 3
+        assert len(server.cache) == 0
 
     def test_query_returns_bare_result(self, paper_graph):
         server = QueryServer(paper_graph)
