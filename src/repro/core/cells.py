@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..frames.labeled_frame import SharedRows
 from ..storage.columnar import _event_index
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
@@ -90,16 +91,22 @@ class _Lineage:
 
     ``generation`` counts the extensions written into the buffers; only
     the version of the latest one, the tip, extends them in place
-    (:func:`extending`).  The frames of appended graphs
-    (:mod:`repro.core.updates`) share buffers by the same rule.
+    (:func:`extending`).  Appended graphs (:mod:`repro.core.updates`)
+    share their frames, endpoint rows and, in ``rows``, their node and
+    edge labels and indexes by the same rule.
     """
 
-    __slots__ = ("lock", "generation", "buffers")
+    __slots__ = ("lock", "generation", "buffers", "rows")
 
-    def __init__(self, buffers: dict[str, np.ndarray]) -> None:
+    def __init__(
+        self,
+        buffers: dict[str, np.ndarray],
+        rows: dict[str, SharedRows] | None = None,
+    ) -> None:
         self.lock = threading.Lock()
         self.generation = 0
         self.buffers = buffers
+        self.rows = rows or {}
 
 
 @contextmanager

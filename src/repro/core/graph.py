@@ -113,8 +113,8 @@ class TemporalGraph:
             raise GraphIntegrityError(
                 "edge presence columns must equal the timeline labels"
             )
-        nodes = self.node_presence.row_labels
-        if self.static_attrs.row_labels != nodes:
+        nodes = self.node_presence
+        if not self.static_attrs._same_rows(nodes):
             raise GraphIntegrityError(
                 "static attribute rows must match node presence rows"
             )
@@ -124,7 +124,7 @@ class TemporalGraph:
                 f"attributes declared both static and time-varying: {sorted(map(str, overlap))}"
             )
         for name, frame in self.varying_attrs.items():
-            if frame.row_labels != nodes:
+            if not frame._same_rows(nodes):
                 raise GraphIntegrityError(
                     f"time-varying attribute {name!r} rows must match node rows"
                 )
@@ -133,7 +133,7 @@ class TemporalGraph:
                     f"time-varying attribute {name!r} columns must equal the timeline"
                 )
         if self.edge_attrs is not None:
-            if self.edge_attrs.row_labels != self.edge_presence.row_labels:
+            if not self.edge_attrs._same_rows(self.edge_presence):
                 raise GraphIntegrityError(
                     "edge attribute rows must match edge presence rows"
                 )
@@ -200,7 +200,7 @@ class TemporalGraph:
         from the labels on first use."""
         if self._storage is not None:
             return self._storage.endpoint_rows()
-        return self._carried.endpoint_rows(self.nodes, self.edges)
+        return self._carried.endpoint_rows(self.node_presence, self.edge_presence)
 
     def _cell_index(self) -> "CellIndex":
         """The cell index the kernel reads (:mod:`repro.core.cells`),
@@ -385,15 +385,16 @@ class TemporalGraph:
 
         The frames of each axis share one label tuple and one row index
         (built on the first label lookup), as the time-columned frames
-        share one column index.  The new graph derives its endpoint rows
-        and cell index from this graph's, on its first kernel call.
+        share the timeline's positions as their column index.  The new
+        graph derives its endpoint rows and cell index from this graph's,
+        on its first kernel call.
         """
         timeline = Timeline(times)
         node_pos = np.asarray(node_rows, dtype=np.intp)
         edge_pos = np.asarray(edge_rows, dtype=np.intp)
         nodes = self.node_presence._row_axis(node_pos)
         edges = self.edge_presence._row_axis(edge_pos)
-        columns = self.node_presence._col_axis(timeline.labels)
+        columns = self.node_presence._col_axis(timeline.labels, timeline.positions)
         graph = TemporalGraph(
             timeline=timeline,
             node_presence=self.node_presence._taken(node_pos, nodes, columns),

@@ -11,7 +11,7 @@ intersection semi-lattices.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from ..errors import TemporalError, TimeIndexError, UnknownLabelError
 
@@ -112,6 +112,12 @@ class Timeline:
     @property
     def labels(self) -> tuple[Hashable, ...]:
         return self._labels
+
+    @property
+    def positions(self) -> Mapping[Hashable, int]:
+        """Label -> position; the time-columned frames of a graph share
+        it as their column index."""
+        return self._index
 
     def __len__(self) -> int:
         return len(self._labels)

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from ..frames import LabeledFrame
-from ..storage.base import resolve_endpoint_rows
-from .cells import _Lineage, blank, extending, room
+from ..frames.labeled_frame import RowPrefix
+from ..storage.base import _endpoint_pairs
+from .cells import _Lineage, _put, blank, extending, room
 from .graph import EdgeId, NodeId, TemporalGraph
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
@@ -89,20 +91,21 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     """A new graph whose timeline ends with the update's time point.
 
     The new version extends what its parent holds instead of re-deriving
-    it from labels: its frames are read-only views of append-only
+    it from labels.  Its frames are read-only views of append-only
     buffers that the chain of versions shares, where only the new
-    column's present cells and the new rows' values are written (the
-    tip/fork/doubling rule of :mod:`repro.core.cells`); each axis gets
-    one row index (a copy of the parent's, grown by the new labels)
-    shared by every frame of the new graph; endpoint rows the parent
-    already holds are carried over with the new edges' rows appended;
-    and a cell index the parent holds is extended by the new column
+    column's present cells and the new rows' values are written; its
+    node and edge labels, their row indexes and, when the parent holds
+    them, its endpoint rows are likewise prefixes of append-only state
+    the chain shares, where only the new labels, index entries and edge
+    rows are written (the tip/fork rule of :mod:`repro.core.cells`).  A
+    cell index the parent holds is extended by the new column
     (:meth:`repro.core.cells.CellIndex.extended`).  What the parent's
     frames, indexes and arrays read never changes.
     """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
-    new_times = graph.timeline.labels + (update.time,)
+    timeline = Timeline(graph.timeline.labels + (update.time,))
+    new_times = timeline.labels
 
     incoming = update.nodes
     varying_names = graph.varying_attribute_names
@@ -122,29 +125,28 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     edges = update.edges
     _check_edges(edges, incoming)
 
+    # The parent's own rows: a label that a concurrent append adds to
+    # rows they share is past the parent's prefix, so not found here.
     n_nodes, n_edges = graph.n_nodes, graph.n_edges
-    time_index = {t: i for i, t in enumerate(new_times)}
-
-    node_index = graph.node_presence._rows_copy()
-    new_node_ids = [n for n in incoming if n not in node_index]
-    all_nodes = graph.nodes + tuple(new_node_ids)
-    node_index.update(zip(new_node_ids, range(n_nodes, len(all_nodes))))
-    present = np.sort(_rows_of(node_index, incoming))
-
-    edge_index = graph.edge_presence._rows_copy()
-    distinct_edges = dict.fromkeys(edges)
-    new_edge_ids = [e for e in distinct_edges if e not in edge_index]
-    all_edges = graph.edges + tuple(new_edge_ids)
-    edge_index.update(zip(new_edge_ids, range(n_edges, len(all_edges))))
-    edge_rows = np.sort(_rows_of(edge_index, distinct_edges))
+    parent_nodes = graph.node_presence._prefix()
+    parent_edges = graph.edge_presence._prefix()
+    node_labels = list(incoming)
+    node_rows = parent_nodes.rows(node_labels)
+    new_node_ids = _new_labels(node_labels, node_rows, n_nodes)
+    present = np.sort(node_rows)
+    edge_labels = list(dict.fromkeys(edges))
+    edge_rows = parent_edges.rows(edge_labels)
+    new_edge_ids = _new_labels(edge_labels, edge_rows, n_edges)
+    edge_rows.sort()
+    all_nodes, all_edges = n_nodes + len(new_node_ids), n_edges + len(new_edge_ids)
 
     # Every frame array of the parent, by buffer name, with its shape in
     # the new version: one more time column, and the new rows.
     static_names = graph.static_attrs.col_labels
     shapes = {
-        "nodes": (len(all_nodes), len(new_times)),
-        "static": (len(all_nodes), len(static_names)),
-        "edges": (len(all_edges), len(new_times)),
+        "nodes": (all_nodes, len(new_times)),
+        "static": (all_nodes, len(static_names)),
+        "edges": (all_edges, len(new_times)),
     }
     parent = {
         "nodes": graph.node_presence.values,
@@ -155,22 +157,30 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         shapes[_VARYING + name] = shapes["nodes"]
         parent[_VARYING + name] = graph.varying_attrs[name].values
     if graph.edge_attrs is not None:
-        shapes["edge_attrs"] = (len(all_edges), graph.edge_attrs.n_cols)
+        shapes["edge_attrs"] = (all_edges, graph.edge_attrs.n_cols)
         parent["edge_attrs"] = graph.edge_attrs.values
+    parent_endpoints = graph._resolved_endpoint_rows()
 
     def fork() -> _Lineage:
         """Buffers of exactly the new version's shapes, holding the
-        parent's frames."""
+        parent's frames, and the parent's rows."""
         buffers: dict[str, np.ndarray] = {}
         for name, array in parent.items():
             buffers[name] = buffer = blank(shapes[name], array.dtype)
             buffer[: array.shape[0], : array.shape[1]] = array
-        return _Lineage(buffers)
+        return _Lineage(
+            buffers,
+            {
+                "nodes": parent_nodes.shared.forked(n_nodes),
+                "edges": parent_edges.shared.forked(n_edges),
+            },
+        )
 
-    # The tip of the parent's buffers writes the new column's present
-    # cells and the new rows' values in place; any other parent forks
-    # first.  No version reads past its own prefix, so none sees these
-    # writes, and the views go out read-only.
+    # The tip of the parent's lineage writes the new column's present
+    # cells, the new rows' values and labels, and the new edges'
+    # endpoint rows in place; any other parent forks first.  No version
+    # reads past its own prefix, so none sees these writes, and the
+    # views go out read-only.
     lineage, generation = graph._carried.frames or (None, 0)
     with extending(lineage, generation, fork) as lineage:
         buffers = lineage.buffers
@@ -182,9 +192,9 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         views["edges"][edge_rows, -1] = 1
         for name in varying_names:
             column = views[_VARYING + name][:, -1]
-            for node, node_values_map in incoming.items():
+            for row, node_values_map in zip(node_rows.tolist(), incoming.values()):
                 if name in node_values_map:
-                    column[node_index[node]] = node_values_map[name]
+                    column[row] = node_values_map[name]
         _write_new_rows(
             views["static"], static_names, n_nodes, new_node_ids, update.static
         )
@@ -196,34 +206,56 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
                 new_edge_ids,
                 update.edge_attrs,
             )
+        lineage.rows["nodes"].extend(new_node_ids)
+        lineage.rows["edges"].extend(new_edge_ids)
+        nodes = RowPrefix(lineage.rows["nodes"], all_nodes)
+        links = RowPrefix(lineage.rows["edges"], all_edges)
+        endpoints = None
+        if parent_endpoints is None:
+            for key in _ENDPOINTS:
+                buffers.pop(key, None)
+        else:
+            # New edges join snapshot nodes, whose rows are known.
+            rows = dict(zip(node_labels, node_rows.tolist()))
+            endpoints = _carried_endpoint_rows(
+                buffers,
+                parent_endpoints,
+                _endpoint_pairs(rows, new_edge_ids),
+                nodes,
+                links,
+            )
         frames = (lineage, lineage.generation)
     for view in views.values():
         view.flags.writeable = False
 
     def node_frame(
-        cols: tuple[Hashable, ...],
-        values: np.ndarray,
-        col_index: dict[Hashable, int] | None,
+        cols: tuple[Hashable, ...], values: np.ndarray, col_index: Mapping[Hashable, int]
     ) -> LabeledFrame:
-        return LabeledFrame._adopt(all_nodes, cols, values, node_index, col_index)
+        return LabeledFrame._adopt(nodes, cols, values, nodes, col_index)
 
-    node_presence = node_frame(new_times, views["nodes"], time_index)
-    static_attrs = node_frame(static_names, views["static"], None)
+    node_presence = node_frame(new_times, views["nodes"], timeline.positions)
+    static_attrs = node_frame(
+        static_names, views["static"], graph.static_attrs._col_index
+    )
     varying_attrs = {
-        name: node_frame(new_times, views[_VARYING + name], time_index)
+        name: node_frame(new_times, views[_VARYING + name], timeline.positions)
         for name in varying_names
     }
     edge_presence = LabeledFrame._adopt(
-        all_edges, new_times, views["edges"], edge_index, time_index
+        links, new_times, views["edges"], links, timeline.positions
     )
     edge_attr_frame: LabeledFrame | None = None
     if graph.edge_attrs is not None:
         edge_attr_frame = LabeledFrame._adopt(
-            all_edges, graph.edge_attrs.col_labels, views["edge_attrs"], edge_index
+            links,
+            graph.edge_attrs.col_labels,
+            views["edge_attrs"],
+            links,
+            graph.edge_attrs._col_index,
         )
 
     appended = TemporalGraph(
-        timeline=Timeline(new_times),
+        timeline=timeline,
         node_presence=node_presence,
         edge_presence=edge_presence,
         static_attrs=static_attrs,
@@ -238,16 +270,12 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     )
     carried = appended._carried
     carried.frames = frames
-    parent_rows = graph._resolved_endpoint_rows()
-    if parent_rows is not None:
-        carried.endpoints = _carried_endpoint_rows(
-            parent_rows, all_nodes, node_index, all_edges, new_edge_ids
-        )
+    carried.endpoints = endpoints
     parent_cells = graph._carried.cells
     if parent_cells is not None:
         carried.cells = parent_cells.extended(
-            len(all_nodes),
-            len(all_edges),
+            all_nodes,
+            all_edges,
             present,
             edge_rows,
             static={
@@ -320,34 +348,53 @@ def _write_new_rows(
             values[first + i, col] = given.get(str(name))
 
 
-def _rows_of(index: Mapping[Hashable, int], labels: Iterable[Hashable]) -> np.ndarray:
-    """The rows of ``labels`` (all in ``index``), as an index array."""
-    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp)
+def _new_labels(labels: list[Hashable], rows: np.ndarray, first: int) -> list[Hashable]:
+    """The labels whose row is ``-1``, in order; their rows become
+    ``first, first + 1, ..`` in place."""
+    new = rows < 0
+    fresh = list(compress(labels, new.tolist()))
+    rows[new] = np.arange(first, first + len(fresh))
+    return fresh
+
+
+#: The names of the endpoint-row buffers in a lineage.
+_ENDPOINTS = ("src", "dst")
 
 
 def _carried_endpoint_rows(
-    parent_rows: tuple[np.ndarray, np.ndarray],
-    nodes: tuple[NodeId, ...],
-    node_index: Mapping[Hashable, int],
-    edges: tuple[EdgeId, ...],
-    new_edges: Sequence[EdgeId],
+    buffers: dict[str, np.ndarray],
+    parent: tuple[np.ndarray, np.ndarray],
+    new: np.ndarray,
+    nodes: RowPrefix,
+    edges: RowPrefix,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The parent's endpoint rows followed by the new edges' rows.
+    """The parent's endpoint rows followed by the new edges' rows ``new``
+    (``2 x new edges``), as prefixes of the lineage's row buffers.
 
-    Both endpoints of a new edge are snapshot nodes, so their rows
-    always resolve.  A parent row that is ``-1`` is resolved again
-    against the grown node axis: its missing node may have just arrived.
+    A lineage holds row buffers only while its tip's rows are prefixes
+    of them, and those are extended in place.  Other rows (after a fork,
+    or resolved after the parent was published) are first copied into
+    buffers sized exactly for the new version, and a parent row that is
+    ``-1`` is resolved again against the new version's ``nodes``: its
+    missing node may just have arrived.  Rows that still hold a ``-1``
+    stay the new version's own, out of the lineage, so that no tip
+    append ever rewrites a prefix.
     """
-    new = np.array(
-        [(node_index[u], node_index[v]) for u, v in new_edges], dtype=np.int32
-    ).reshape(len(new_edges), 2)
-    src = np.concatenate([parent_rows[0], new[:, 0]])
-    dst = np.concatenate([parent_rows[1], new[:, 1]])
-    dangling = np.flatnonzero((src < 0) | (dst < 0))
-    if dangling.size:
-        src[dangling], dst[dangling] = resolve_endpoint_rows(
-            nodes, [edges[row] for row in dangling.tolist()]
-        )
+    used, end = len(parent[0]), len(parent[0]) + new.shape[1]
+    dangling: np.ndarray | None = None
+    if not all(key in buffers for key in _ENDPOINTS):
+        for key, side in zip(_ENDPOINTS, parent):
+            buffers[key] = np.empty(end, dtype=np.int32)
+            buffers[key][:used] = side
+        dangling = np.flatnonzero((parent[0] < 0) | (parent[1] < 0))
+    for key, extra in zip(_ENDPOINTS, new):
+        buffers[key] = _put(buffers[key], used, extra)
+    src, dst = (buffers[key][:end] for key in _ENDPOINTS)
+    if dangling is not None and dangling.size:
+        src[dangling], dst[dangling] = _endpoint_pairs(nodes, edges.take(dangling))
+        if (src[dangling] < 0).any() or (dst[dangling] < 0).any():
+            for key in _ENDPOINTS:
+                del buffers[key]
     src.flags.writeable = False
     dst.flags.writeable = False
     return src, dst

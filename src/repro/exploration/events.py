@@ -504,6 +504,26 @@ class ChainStep:
     mask: np.ndarray
 
 
+def check_counter(
+    counter: EventCounter | None,
+    graph: TemporalGraph,
+    entity: EntityKind,
+    attributes: Sequence[str],
+    key: Any,
+) -> None:
+    """Raise :class:`ExplorationError` unless ``counter`` is ``None`` or
+    was built for exactly this graph, entity, attribute list and key."""
+    if counter is not None and (
+        counter.graph is not graph
+        or counter.entity is not entity
+        or counter.attributes != tuple(attributes)
+        or counter.key != key
+    ):
+        raise ExplorationError(
+            "counter was built for another graph, entity, attribute list or key"
+        )
+
+
 class ChainEvaluator:
     """``result(G)`` along semi-lattice chains, over the counter's packed
     time-major rows.

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core import TemporalGraph
-from .events import ChainEvaluator, EntityKind, EventCounter, EventType
+from .events import ChainEvaluator, EntityKind, EventCounter, EventType, check_counter
 from .lattice import ExtendSide, Semantics
 from .pairs import IntervalPairResult, PairTable
 from ..errors import ExplorationError
@@ -223,15 +223,7 @@ def explore(
     """
     if k < 1:
         raise ExplorationError(f"threshold k must be positive, got {k}")
-    if counter is not None and (
-        counter.graph is not graph
-        or counter.entity is not entity
-        or counter.attributes != tuple(attributes)
-        or counter.key != key
-    ):
-        raise ExplorationError(
-            "counter was built for another graph, entity, attribute list or key"
-        )
+    check_counter(counter, graph, entity, attributes, key)
     get_metrics().inc("exploration.runs")
     with trace_span(
         "explore", event=str(event), goal=str(goal), extend=str(extend), k=k

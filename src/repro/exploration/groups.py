@@ -30,6 +30,7 @@ from .events import (
     EntityKind,
     EventCounter,
     EventType,
+    check_counter,
     event_mask_from,
 )
 from .explore import ExtendSide, Goal
@@ -69,11 +70,15 @@ class GroupExplorationResult:
 
 
 def _group_counter(
-    graph: TemporalGraph, entity: EntityKind, attributes: Sequence[str]
+    graph: TemporalGraph,
+    entity: EntityKind,
+    attributes: Sequence[str],
+    counter: EventCounter | None,
 ) -> tuple[EventCounter, list[Any], np.ndarray, np.ndarray]:
-    """An event counter over static grouping attributes, its group keys
-    (sorted by their string form), the entities in group order and the
-    position in that order where each group starts."""
+    """An event counter over static grouping attributes (``counter``, or
+    a new one), its group keys (sorted by their string form), the
+    entities in group order and the position in that order where each
+    group starts."""
     if not attributes:
         raise ExplorationError("group exploration needs grouping attributes")
     for name in attributes:
@@ -84,7 +89,8 @@ def _group_counter(
             )
     if entity is EntityKind.EDGES:
         check_no_dangling_edges(graph, error=ExplorationError)
-    counter = EventCounter(graph, entity, attributes)
+    if counter is None:
+        counter = EventCounter(graph, entity, attributes)
     codes, tuples = counter._codes, counter._tuples
     assert codes is not None
     base = max(1, len(tuples))
@@ -129,16 +135,24 @@ def explore_groups(
     k: int,
     attributes: Sequence[str],
     entity: EntityKind = EntityKind.EDGES,
+    *,
+    counter: EventCounter | None = None,
 ) -> GroupExplorationResult:
     """Run one exploration case for every aggregate group at once.
 
     Semantics per group match :func:`repro.exploration.explore` with
     ``key=<group>`` exactly (tested against it); the difference is
-    cost — one chain walk total instead of one per group.
+    cost — one chain walk total instead of one per group.  ``counter``
+    is a prebuilt keyless counter for exactly this graph, entity and
+    attribute list, as :func:`repro.exploration.explore` takes; ``None``
+    builds one.
     """
     if k < 1:
         raise ExplorationError(f"threshold k must be positive, got {k}")
-    counter, group_keys, entities, starts = _group_counter(graph, entity, attributes)
+    check_counter(counter, graph, entity, attributes, None)
+    counter, group_keys, entities, starts = _group_counter(
+        graph, entity, attributes, counter
+    )
     n_groups = len(group_keys)
     references = max(0, len(graph.timeline) - 1)
     minimal = goal is Goal.MINIMAL

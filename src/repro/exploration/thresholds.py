@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from typing import Any
 
 from ..core import TemporalGraph
-from .events import ChainEvaluator, EntityKind, EventCounter, EventType
+from .events import ChainEvaluator, EntityKind, EventCounter, EventType, check_counter
 from ..errors import ExplorationError
 
 __all__ = ["consecutive_event_counts", "suggest_threshold", "threshold_ladder"]
@@ -27,10 +27,16 @@ def consecutive_event_counts(
     entity: EntityKind = EntityKind.EDGES,
     attributes: Sequence[str] = (),
     key: Any = None,
+    *,
+    counter: EventCounter | None = None,
 ) -> list[int]:
     """Event counts for every consecutive time-point pair ``(T_i, T_i+1)``,
-    evaluated together as one batch."""
-    counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
+    evaluated together as one batch.  ``counter`` is a prebuilt counter
+    for exactly this graph, entity, attribute list and key, as
+    :func:`repro.exploration.explore` takes; ``None`` builds one."""
+    check_counter(counter, graph, entity, attributes, key)
+    if counter is None:
+        counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
     return ChainEvaluator(counter, event).consecutive_counts()
 
 
@@ -41,6 +47,8 @@ def suggest_threshold(
     entity: EntityKind = EntityKind.EDGES,
     attributes: Sequence[str] = (),
     key: Any = None,
+    *,
+    counter: EventCounter | None = None,
 ) -> int:
     """The paper's initial threshold ``w_th``.
 
@@ -49,12 +57,13 @@ def suggest_threshold(
     increase).  Counts of zero are ignored when they are not the only
     value, so a single empty pair does not collapse the suggestion; when
     *every* count is zero the suggestion is floored at 1, the smallest
-    threshold :func:`repro.exploration.explore` accepts.
+    threshold :func:`repro.exploration.explore` accepts.  ``counter`` is
+    passed to :func:`consecutive_event_counts`.
     """
     if mode not in ("max", "min"):
         raise ExplorationError(f"mode must be 'max' or 'min', got {mode!r}")
     counts = consecutive_event_counts(
-        graph, event, entity=entity, attributes=attributes, key=key
+        graph, event, entity=entity, attributes=attributes, key=key, counter=counter
     )
     positive = [c for c in counts if c > 0]
     pool = positive or counts

@@ -18,6 +18,7 @@ deduplicate / group-count, used by Algorithm 2) live in
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice, repeat
 from typing import Any
 
 import numpy as np
@@ -37,6 +38,137 @@ def _build_index(labels: Sequence[Hashable], axis: str) -> dict[Hashable, int]:
             f"duplicate {axis} labels are not allowed: {duplicates[:5]!r}"
         )
     return index
+
+
+class SharedRows:
+    """Row labels that only ever grow at their end, and their label ->
+    row index, which the frames of several versions share: each version
+    reads its first ``n`` rows through a :class:`RowPrefix`.
+
+    ``base`` and ``base_index`` are the first version's own label tuple
+    and complete index, shared as they are; ``labels`` and ``index``
+    hold the rows appended after them.  Only the writer at the chain's
+    tip appends (under its lock, :func:`repro.core.cells.extending`).
+    Readers look labels up and read positions below their ``n``; they
+    never iterate ``index``, which a tip append may grow meanwhile.
+    """
+
+    __slots__ = ("base", "base_index", "labels", "index")
+
+    def __init__(
+        self,
+        base: tuple[Hashable, ...],
+        base_index: Mapping[Hashable, int],
+        labels: list[Hashable] | None = None,
+    ) -> None:
+        self.base = base
+        self.base_index = base_index
+        self.labels: list[Hashable] = []
+        self.index: dict[Hashable, int] = {}
+        self.extend(labels or [])
+
+    def extend(self, labels: list[Hashable]) -> None:
+        """Append ``labels``, none of which this holds yet."""
+        start = len(self.base) + len(self.labels)
+        self.index.update(zip(labels, range(start, start + len(labels))))
+        self.labels.extend(labels)
+
+    def forked(self, n: int) -> "SharedRows":
+        """New shared rows holding this one's first ``n``: the base is
+        shared, the appended part copied."""
+        return SharedRows(self.base, self.base_index, self.labels[: n - len(self.base)])
+
+
+class RowPrefix(Mapping[Hashable, int]):
+    """The first ``n`` rows of a :class:`SharedRows`: one version's row
+    labels, in order, mapped to their rows.  Read-only; labels appended
+    after them are not in it."""
+
+    __slots__ = ("shared", "n", "_labels")
+
+    def __init__(self, shared: SharedRows, n: int) -> None:
+        self.shared = shared
+        self.n = n
+        self._labels: tuple[Hashable, ...] | None = None
+
+    def labels(self) -> tuple[Hashable, ...]:
+        """The labels as a tuple, built on the first call."""
+        labels = self._labels
+        if labels is None:
+            shared = self.shared
+            labels = shared.base
+            if self.n > len(labels):
+                labels = labels + tuple(shared.labels[: self.n - len(labels)])
+            self._labels = labels
+        return labels
+
+    def get(self, label: Hashable, default: Any = None) -> Any:
+        shared = self.shared
+        row = shared.base_index.get(label)
+        if row is None:
+            row = shared.index.get(label)
+            if row is None or row >= self.n:
+                return default
+        return row
+
+    def __getitem__(self, label: Hashable) -> int:
+        row = self.get(label)
+        if row is None:
+            raise LabelError(f"unknown row label: {label!r}")
+        return row
+
+    def __contains__(self, label: object) -> bool:
+        return self.get(label) is not None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[Hashable]:
+        shared = self.shared
+        return chain(shared.base, islice(shared.labels, self.n - len(shared.base)))
+
+    def rows(self, labels: list[Hashable]) -> np.ndarray:
+        """The row of each of ``labels``, ``-1`` for one not held."""
+        shared = self.shared
+        rows = np.fromiter(
+            map(shared.base_index.get, labels, repeat(-1)), np.intp, len(labels)
+        )
+        rest = np.flatnonzero(rows < 0)
+        if rest.size and shared.labels:
+            found = np.fromiter(
+                map(shared.index.get, map(labels.__getitem__, rest.tolist()), repeat(-1)),
+                np.intp,
+                rest.size,
+            )
+            found[found >= self.n] = -1
+            rows[rest] = found
+        return rows
+
+    def take(self, positions: np.ndarray) -> tuple[Hashable, ...]:
+        """The labels at ``positions`` (each below ``n``), read in C from
+        the base tuple and the appended list."""
+        shared = self.shared
+        base, split = shared.base, len(shared.base)
+        low = positions < split
+        first = int(np.count_nonzero(low))
+        if not low[first:].any():  # base positions first, as in any sorted take
+            return tuple(
+                chain(
+                    map(base.__getitem__, positions[:first].tolist()),
+                    map(shared.labels.__getitem__, (positions[first:] - split).tolist()),
+                )
+            )
+        high = ~low
+        labels = np.empty(positions.size, dtype=object)
+        labels[low] = np.fromiter(
+            map(base.__getitem__, positions[low].tolist()), object, int(low.sum())
+        )
+        labels[high] = np.fromiter(
+            map(shared.labels.__getitem__, (positions[high] - split).tolist()),
+            object,
+            int(high.sum()),
+        )
+        return tuple(labels.tolist())
 
 
 class LabeledFrame:
@@ -73,37 +205,43 @@ class LabeledFrame:
         values: Any,
         dtype: Any = None,
     ) -> None:
-        self._row_labels: tuple[Hashable, ...] = tuple(row_labels)
+        labels = tuple(row_labels)
+        #: The row labels, or the :class:`RowPrefix` they are read from.
+        self._row_labels: tuple[Hashable, ...] | RowPrefix = labels
         self._col_labels: tuple[Hashable, ...] = tuple(col_labels)
         array = np.array(values, dtype=dtype)
         if array.ndim == 1 and array.size == 0:
-            array = array.reshape(len(self._row_labels), len(self._col_labels))
-        if array.shape != (len(self._row_labels), len(self._col_labels)):
+            array = array.reshape(len(labels), len(self._col_labels))
+        if array.shape != (len(labels), len(self._col_labels)):
             raise ShapeError(
                 f"values shape {array.shape} does not match labels "
-                f"({len(self._row_labels)}, {len(self._col_labels)})"
+                f"({len(labels)}, {len(self._col_labels)})"
             )
         self._values = array
-        self._row_index = _build_index(self._row_labels, "row")
-        self._col_index = _build_index(self._col_labels, "column")
+        self._row_index: Mapping[Hashable, int] = _build_index(labels, "row")
+        self._col_index: Mapping[Hashable, int] = _build_index(
+            self._col_labels, "column"
+        )
 
     @classmethod
     def _adopt(
         cls,
-        row_labels: tuple[Hashable, ...],
+        row_labels: tuple[Hashable, ...] | RowPrefix,
         col_labels: tuple[Hashable, ...],
         values: np.ndarray,
-        row_index: dict[Hashable, int],
-        col_index: dict[Hashable, int] | None = None,
+        row_index: Mapping[Hashable, int],
+        col_index: Mapping[Hashable, int] | None = None,
     ) -> "LabeledFrame":
         """A frame that owns ``values`` and the given label indexes as is.
 
         No copy and no shape or duplicate-label check: the caller hands
         over a freshly built array and indexes that match the labels and
         that nothing else mutates, so frames may share them.  A row
-        index is either complete or empty, and an empty one is filled on
-        the first label lookup, in place, for every frame that shares
-        it; a ``None`` column index is built (and validated) now.
+        index is either complete or an empty dict, and an empty one is
+        filled on the first label lookup, in place, for every frame that
+        shares it; a ``None`` column index is built (and validated) now.
+        Rows read from shared rows pass their :class:`RowPrefix` as both
+        the labels and the index.
         """
         frame = cls.__new__(cls)
         frame._row_labels, frame._col_labels = row_labels, col_labels
@@ -113,21 +251,40 @@ class LabeledFrame:
         )
         return frame
 
-    def _rows(self) -> dict[Hashable, int]:
+    def _rows(self) -> Mapping[Hashable, int]:
         """Row label -> position (filled lazily after :meth:`take`).  The
         labels are unique, so an index holding fewer entries is not
         filled yet; filling it twice writes the same entries."""
         index = self._row_index
         if len(index) < len(self._row_labels):
+            assert isinstance(index, dict)
             index.update(zip(self._row_labels, range(len(self._row_labels))))
         return index
 
-    def _rows_copy(self) -> dict[Hashable, int]:
-        """A new row label -> position dict the caller may grow; a frame
-        whose index was never filled does not fill it for this."""
-        if len(self._row_index) < len(self._row_labels):
-            return {label: row for row, label in enumerate(self._row_labels)}
-        return dict(self._row_index)
+    def _prefix(self) -> RowPrefix:
+        """This frame's rows as a :class:`RowPrefix`: its own, or shared
+        rows whose base is its label tuple and (filled) index."""
+        labels = self._row_labels
+        if isinstance(labels, RowPrefix):
+            return labels
+        return RowPrefix(SharedRows(labels, self._rows()), len(labels))
+
+    def _same_rows(self, other: "LabeledFrame") -> bool:
+        """Whether ``other`` has the same row labels, in order; frames
+        that share their rows compare without building a tuple."""
+        return self._row_labels is other._row_labels or self.row_labels == other.row_labels
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A frame over shared rows pickles its own labels only; the copy
+        # fills a plain row index on its first label lookup.
+        index = self._row_index
+        return LabeledFrame._adopt, (
+            self.row_labels,
+            self._col_labels,
+            self._values,
+            {} if isinstance(index, RowPrefix) else index,
+            self._col_index,
+        )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -187,7 +344,8 @@ class LabeledFrame:
     @property
     def row_labels(self) -> tuple[Hashable, ...]:
         """Row labels, in storage order."""
-        return self._row_labels
+        labels = self._row_labels
+        return labels if isinstance(labels, tuple) else labels.labels()
 
     @property
     def col_labels(self) -> tuple[Hashable, ...]:
@@ -270,7 +428,7 @@ class LabeledFrame:
         """
         positions = [self.col_position(c) for c in cols]
         return LabeledFrame(
-            self._row_labels, tuple(cols), self._values[:, positions].copy()
+            self.row_labels, tuple(cols), self._values[:, positions].copy()
         )
 
     def select_rows(self, rows: Sequence[Hashable]) -> "LabeledFrame":
@@ -288,37 +446,42 @@ class LabeledFrame:
         the ``np.flatnonzero`` positions of their presence masks.
         """
         positions = np.asarray(rows, dtype=np.intp)
-        col_axis = None if cols is None else self._col_axis(cols)
+        col_axis = None
+        if cols is not None:
+            labels = tuple(cols)
+            col_axis = self._col_axis(labels, _build_index(labels, "column"))
         return self._taken(positions, self._row_axis(positions), col_axis)
 
     def _row_axis(
         self, positions: np.ndarray
-    ) -> tuple[tuple[Hashable, ...], dict[Hashable, int]]:
+    ) -> tuple[tuple[Hashable, ...], Mapping[Hashable, int]]:
         """The row labels at ``positions`` and their row index, for every
         frame taken at the same positions to share.  Unordered (possibly
         repeated) positions validate the labels now; increasing ones keep
         them unique, so the index waits for the first label lookup (most
         takes never see one)."""
-        labels = tuple(map(self._row_labels.__getitem__, positions.tolist()))
+        rows = self._row_labels
+        if isinstance(rows, tuple):
+            labels = tuple(map(rows.__getitem__, positions.tolist()))
+        else:
+            labels = rows.take(positions)
         if positions.size > 1 and not (np.diff(positions) > 0).all():
             return labels, _build_index(labels, "row")
         return labels, {}
 
     def _col_axis(
-        self, cols: Sequence[Hashable]
-    ) -> tuple[list[int], tuple[Hashable, ...], dict[Hashable, int]]:
-        """The positions of the columns ``cols``, their labels and their
-        (validated) column index, for every frame with these columns to
-        share."""
-        labels = tuple(cols)
-        index = _build_index(labels, "column")
+        self, labels: tuple[Hashable, ...], index: Mapping[Hashable, int]
+    ) -> tuple[list[int], tuple[Hashable, ...], Mapping[Hashable, int]]:
+        """The positions of the columns ``labels``, the labels and their
+        column index ``index`` (unique labels), for every frame with
+        these columns to share."""
         return [self.col_position(c) for c in labels], labels, index
 
     def _taken(
         self,
         positions: np.ndarray,
-        row_axis: tuple[tuple[Hashable, ...], dict[Hashable, int]],
-        col_axis: tuple[list[int], tuple[Hashable, ...], dict[Hashable, int]]
+        row_axis: tuple[tuple[Hashable, ...], Mapping[Hashable, int]],
+        col_axis: tuple[list[int], tuple[Hashable, ...], Mapping[Hashable, int]]
         | None = None,
     ) -> "LabeledFrame":
         """:meth:`take` over a :meth:`_row_axis` and a :meth:`_col_axis`
@@ -436,10 +599,10 @@ class LabeledFrame:
                 f"{self._col_labels!r} vs {other.col_labels!r}"
             )
         values = np.concatenate([self._values, other.values], axis=0)
-        return LabeledFrame(self._row_labels + other.row_labels, self._col_labels, values)
+        return LabeledFrame(self.row_labels + other.row_labels, self._col_labels, values)
 
     def copy(self) -> "LabeledFrame":
-        return LabeledFrame(self._row_labels, self._col_labels, self._values.copy())
+        return LabeledFrame(self.row_labels, self._col_labels, self._values.copy())
 
     # ------------------------------------------------------------------
     # Dunder protocol
@@ -455,7 +618,7 @@ class LabeledFrame:
         if not isinstance(other, LabeledFrame):
             return NotImplemented
         return (
-            self._row_labels == other._row_labels
+            self._same_rows(other)
             and self._col_labels == other._col_labels
             and np.array_equal(self._values, other._values)
         )

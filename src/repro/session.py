@@ -30,6 +30,7 @@ from .core import (
 from .core.granularity import coarsen
 from .exploration import (
     EntityKind,
+    EventCounter,
     EventType,
     ExplorationResult,
     ExtendSide,
@@ -315,18 +316,19 @@ class GraphTempoSession:
             extend=str(extend),
         ):
             graph = self.graph
+            # The cube's counter shares one index per graph version; an
+            # invalid k keeps explore's own error.
+            counter = None
+            if k is None or k >= 1:
+                counter = self._counter(graph, entity, attributes, key)
             if k is None:
                 k = suggest_threshold(
                     graph, event, mode="max",
-                    entity=entity, attributes=attributes, key=key,
+                    entity=entity, attributes=attributes, key=key, counter=counter,
                 )
-            # The cube's counter shares one index per graph version; an
-            # invalid k keeps explore's own error.
-            counter = self.cube.event_counter(entity, attributes, key) if k >= 1 else None
             return explore(
                 graph, event, goal, extend, k,
-                entity=entity, attributes=attributes, key=key,
-                counter=counter if counter is not None and counter.graph is graph else None,
+                entity=entity, attributes=attributes, key=key, counter=counter,
             )
 
     def explore_groups(
@@ -348,9 +350,27 @@ class GraphTempoSession:
             event=str(event),
             attributes=tuple(attributes),
         ):
+            graph = self.graph
+            # Attributes explore_groups rejects keep its own error.
+            counter = None
+            if k >= 1 and attributes and all(map(graph.is_static, attributes)):
+                counter = self._counter(graph, entity, attributes, None)
             return explore_groups(
-                self.graph, event, goal, extend, k, attributes, entity=entity
+                graph, event, goal, extend, k, attributes, entity=entity,
+                counter=counter,
             )
+
+    def _counter(
+        self,
+        graph: TemporalGraph,
+        entity: EntityKind,
+        attributes: Sequence[str],
+        key: Any,
+    ) -> EventCounter | None:
+        """The cube's exploration counter for ``key``, while the cube is
+        on ``graph``."""
+        counter = self.cube.event_counter(entity, attributes, key)
+        return counter if counter.graph is graph else None
 
     # ------------------------------------------------------------------
     # Zoom and reports

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any, ClassVar, NamedTuple
 
 import numpy as np
@@ -289,15 +289,24 @@ def resolve_endpoint_rows(
     """The :meth:`GraphStorageBackend.endpoint_rows` arrays for one
     node axis and edge axis, frozen read-only."""
     index = {label: row for row, label in enumerate(node_labels)}
+    rows = _endpoint_pairs(index, edge_labels).copy()
+    rows.flags.writeable = False
+    return rows[0], rows[1]
+
+
+def _endpoint_pairs(
+    index: Mapping[Hashable, int], edge_labels: Sequence[Hashable]
+) -> np.ndarray:
+    """``(2, edges)`` ``int32``: the row ``index`` gives the source and
+    the target of each edge label, ``-1`` for a node it does not hold or
+    a label that is not a ``(u, v)`` pair."""
     pairs = [
         (index.get(edge[0], -1), index.get(edge[1], -1))
         if isinstance(edge, tuple) and len(edge) == 2
         else (-1, -1)
         for edge in edge_labels
     ]
-    rows = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2).T.copy()
-    rows.flags.writeable = False
-    return rows[0], rows[1]
+    return np.array(pairs, dtype=np.int32).reshape(len(pairs), 2).T
 
 
 class CarriedState:
@@ -328,15 +337,16 @@ class CarriedState:
         self.source: tuple[Any, np.ndarray, np.ndarray, tuple[Hashable, ...]] | None = None
 
     def endpoint_rows(
-        self, node_labels: Sequence[Hashable], edge_labels: Sequence[Hashable]
+        self, nodes: LabeledFrame, edges: LabeledFrame
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint rows of these labels: held, derived from the
-        source's by remapping rows, or resolved from the labels."""
+        """The endpoint rows of the frames on the node and edge axes:
+        held, derived from the source's by remapping rows, or resolved
+        from the frames' row labels (the only case that reads them)."""
         rows = self.endpoints
         if rows is None:
             source = self.source
             if source is None:
-                rows = resolve_endpoint_rows(node_labels, edge_labels)
+                rows = resolve_endpoint_rows(nodes.row_labels, edges.row_labels)
             else:
                 parent, node_rows, edge_rows, _ = source
                 rows = _taken_endpoint_rows(

@@ -211,7 +211,7 @@ class ColumnarBackend(GraphStorageBackend):
         node_labels = frames.node_presence.row_labels
         edge_labels = frames.edge_presence.row_labels
 
-        src, dst = carried.endpoint_rows(node_labels, edge_labels)
+        src, dst = carried.endpoint_rows(frames.node_presence, frames.edge_presence)
 
         static_names = tuple(str(c) for c in frames.static_attrs.col_labels)
         static_values = frames.static_attrs.values

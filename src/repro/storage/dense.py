@@ -141,7 +141,8 @@ class DenseBackend(GraphStorageBackend):
         raise LabelError(f"unknown attribute {name!r}")
 
     def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._carried.endpoint_rows(self.node_labels, self.edge_labels)
+        frames = self._frames
+        return self._carried.endpoint_rows(frames.node_presence, frames.edge_presence)
 
     def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._carried.endpoints

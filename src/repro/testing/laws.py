@@ -785,6 +785,18 @@ def _frames_changed(graph: TemporalGraph, copies: list[np.ndarray]) -> bool:
     )
 
 
+def _row_axes(graph: TemporalGraph) -> tuple[Any, ...]:
+    """What a graph's row axes read now: its node and edge labels, each
+    label's row, and the endpoint rows it holds (``None`` if none)."""
+    axes: list[Any] = []
+    for frame in (graph.node_presence, graph.edge_presence):
+        labels = tuple(frame._rows())
+        axes += [labels, frame.row_labels, [frame.row_position(label) for label in labels]]
+    rows = graph._resolved_endpoint_rows()
+    axes.append(None if rows is None else [side.tolist() for side in rows])
+    return tuple(axes)
+
+
 def _carried_state_problem(
     parent: TemporalGraph, child: TemporalGraph
 ) -> str | None:
@@ -820,8 +832,9 @@ def _carried_state_problem(
     "bit-exactly, publishes one monotonic version per append, keeps "
     "delta-maintained totals equal to the direct aggregate, and carries "
     "endpoint rows, row indexes and the cell index equal to those rebuilt "
-    "from labels and frames, leaving the parent's index and every bit of "
-    "its frames unchanged, also after a sibling append",
+    "from labels and frames, leaving the parent's index, labels, row "
+    "indexes, endpoint rows and every bit of its frames unchanged, also "
+    "after a sibling append",
     hostile_safe=False,
 )
 def _streaming_replay_identity(
@@ -833,12 +846,14 @@ def _streaming_replay_identity(
     store = StreamingStore(initial, views=[totals])
     fired: list[int] = []
     store.on_append(lambda version: fired.append(version.version))
-    # Each parent's frames, copied before it was appended to.
+    # Each parent's frames and row axes, copied before it was appended to.
     frames: list[list[np.ndarray]] = []
+    axes: list[tuple[Any, ...]] = []
     for update in updates:
         parent = store.graph
         before = parent._cell_index().decoded()
         frames.append(_frame_copies(parent))
+        axes.append(_row_axes(parent))
         store.append_snapshot(update)
         problem = _carried_state_problem(parent, store.graph)
         if problem:
@@ -847,6 +862,8 @@ def _streaming_replay_identity(
             return f"appending {update.time!r} changed the parent's cell index"
         if _frames_changed(parent, frames[-1]):
             return f"appending {update.time!r} changed the parent's frames"
+        if _row_axes(parent) != axes[-1]:
+            return f"appending {update.time!r} changed the parent's row axes"
     if graph_to_maps(store.graph) != graph_to_maps(graph):
         return "replayed graph diverges from the original"
     if store.version != len(updates) or fired != list(range(1, len(updates) + 1)):
@@ -882,6 +899,8 @@ def _streaming_replay_identity(
                 return f"a sibling append changed version {version}: {problem}"
             if _frames_changed(replayed, copies):
                 return f"a sibling append changed the frames of version {version}"
+            if _row_axes(replayed) != axes[version]:
+                return f"a sibling append changed the row axes of version {version}"
     # The same frozen updates must replay a second time verbatim — the
     # regression the SnapshotUpdate freeze exists for.
     # No reads between these appends: rows carry from version to version

@@ -79,6 +79,18 @@ def sibling_updates(label, count=2):
     return updates
 
 
+def row_axes(graph):
+    """The labels, each label's row and the endpoint rows a graph reads."""
+    nodes, edges = graph.node_presence, graph.edge_presence
+    return (
+        tuple(nodes._rows()),
+        tuple(edges._rows()),
+        [nodes.row_position(label) for label in graph.nodes],
+        [edges.row_position(label) for label in graph.edges],
+        [side.tolist() for side in graph._endpoint_rows()],
+    )
+
+
 def maps_after(maps, update):
     """``graph_to_maps`` of a graph whose maps are ``maps``, after
     appending ``update``."""
@@ -214,8 +226,19 @@ class TestCarriedByAppends:
                 for child, want in zip(children, expected):
                     assert decoded(child) == from_frames(child)
                     assert child == want
+                    assert row_axes(child) == row_axes(want)
                 assert decoded(tip) == before
                 assert tip == graph_from_maps(**maps)
+                assert row_axes(tip) == row_axes(graph_from_maps(**maps))
+                arrived = {
+                    label
+                    for child in children
+                    for label in (*child.nodes, *child.edges)
+                } - {*tip.nodes, *tip.edges}
+                assert arrived
+                for label in arrived:
+                    assert not tip.node_presence.has_row(label)
+                    assert not tip.edge_presence.has_row(label)
                 # Every child is the tip of its buffers: one extended the
                 # parent's in place, the others copied them first.
                 tip = children[step % count]

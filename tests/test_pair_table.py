@@ -30,8 +30,12 @@ from repro.exploration import (
     PairTable,
     Semantics,
     Side,
+    consecutive_event_counts,
     explore,
+    explore_groups,
+    suggest_threshold,
 )
+from repro.datasets import paper_example
 from repro.exploration.events import _pack_rows
 from repro.serving import QueryServer
 from repro.testing.reference import explore_reference
@@ -332,3 +336,51 @@ class TestOneCounterPerLadder:
                     attributes=["gender"],
                     key=(("f",), ("m",)),
                 )
+
+    def test_session_threshold_suggestions_use_the_cube_counter(self, builds):
+        graph = paper_example()
+        session = GraphTempoSession(graph)
+        case = ("stability", "maximal", "new")
+        what = dict(entity="edges", attributes=["gender"], key=(("f",), ("m",)))
+        results = [session.explore(*case, **what) for _ in range(3)]
+        assert len(builds) == 1
+        keyed = dict(entity=EntityKind.EDGES, attributes=["gender"], key=(("f",), ("m",)))
+        k = suggest_threshold(graph, EventType.STABILITY, mode="max", **keyed)
+        expected = explore(
+            graph, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, k, **keyed
+        )
+        assert results == [expected] * 3
+
+    def test_session_groups_share_the_explore_counter(self, builds):
+        graph = paper_example()
+        session = GraphTempoSession(graph)
+        case = ("growth", "minimal", "new")
+        session.explore(*case, k=1, entity="edges", attributes=["gender"])
+        groups = [session.explore_groups(*case, 1, ["gender"]) for _ in range(2)]
+        assert len(builds) == 1
+        expected = explore_groups(
+            graph, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, 1, ["gender"]
+        )
+        assert groups[0].pairs_by_group == groups[1].pairs_by_group
+        assert groups[0].pairs_by_group == expected.pairs_by_group
+        assert groups[0].evaluations == expected.evaluations
+
+    def test_a_counter_must_fit_the_call(self):
+        graph = paper_example()
+        keyless = EventCounter(graph, EntityKind.EDGES, ["gender"])
+        keyed = keyless.with_key((("f",), ("m",)))
+        event = EventType.STABILITY
+        assert consecutive_event_counts(
+            graph, event, attributes=["gender"], counter=keyless
+        ) == consecutive_event_counts(graph, event, attributes=["gender"])
+        case = (EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1, ["gender"])
+        assert (
+            explore_groups(graph, *case, counter=keyless).pairs_by_group
+            == explore_groups(graph, *case).pairs_by_group
+        )
+        with pytest.raises(ExplorationError, match="counter was built"):
+            consecutive_event_counts(graph, event, attributes=["gender"], counter=keyed)
+        with pytest.raises(ExplorationError, match="counter was built"):
+            suggest_threshold(graph, event, entity=EntityKind.NODES, counter=keyless)
+        with pytest.raises(ExplorationError, match="counter was built"):
+            explore_groups(graph, *case, counter=keyed)
