@@ -16,9 +16,10 @@ window instead of scanning the dense ``entities x window`` block:
 
 A graph builds its index from its dense frames on its first kernel call
 (:func:`build_cells`), and hands it on from then on: an append extends
-the parent's index by the new column (:meth:`CellIndex.extended`), and
-an operator's result derives its index from its input's
-(:meth:`CellIndex.taken`).  The versions of one graph share append-only
+the parent's index by the new column (:meth:`CellIndex.extended`).  An
+operator's result, a view, is read through its input's index, and
+derives one of its own (:meth:`CellIndex.taken`) only when it must own
+one.  The versions of one graph share append-only
 buffers that double their capacity.  Each version reads its own prefix,
 so a version costs only its own events, and no extension ever changes
 what an existing index reads.
@@ -408,7 +409,9 @@ class CellIndex:
         """The index of ``graph.take(node_rows, edge_rows, times)``, where
         ``positions`` are the timeline positions of ``times``: the events
         of kept rows at those columns, renumbered.  The derived index
-        reads the same pools; its first extension copies them."""
+        reads the same pools; its first extension copies them.  Only a
+        view that must own an index derives one: one appended onto, one
+        an ``EventCounter`` reads, or one pinned with ``with_storage``."""
         at = np.asarray(positions, dtype=np.intp)
         node_indptr, nodes, node_events = _taken_events(
             self.node_indptr, self.node_rows, self.n_nodes, node_rows, at

@@ -7,7 +7,10 @@ their integer attribute codes into one dense *tuple code* per cell,
 counts DIST over distinct ``(row, code)`` keys and ALL with
 ``np.bincount``, resolves edges through the graph's int32 endpoint rows
 (its backend's, or the ones it carries, without building a backend),
-and decodes only the distinct output keys.  The
+and decodes only the distinct output keys.  A view (an operator result)
+that has no index of its own is read through its source's index and
+endpoint rows, keeping the cells of its rows at its time points, so an
+aggregate over an operator result derives nothing.  The
 paper's literal Algorithm 2 is the oracle it is diffed against
 (:mod:`repro.testing.reference`).
 """
@@ -21,6 +24,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import AggregationError, ValidationError
+from ..storage.base import ViewSource
 from .cells import CellIndex, window_events
 from .graph import TemporalGraph
 
@@ -98,6 +102,37 @@ def _layer(
     return index.codes(name)[events], values, size
 
 
+def _read(
+    graph: TemporalGraph, positions: Sequence[int]
+) -> tuple[CellIndex, ViewSource | None, np.ndarray]:
+    """The index the kernel reads for ``graph``, the view whose rows it
+    keeps (``None``: every row), and the index positions of ``graph``'s
+    timeline ``positions``.  A view that has no index of its own is read
+    through its source's; any other graph reads its own."""
+    carried = graph._carried
+    view = carried.source
+    at = np.asarray(positions, dtype=np.intp)
+    if view is None or carried.cells is not None:
+        return graph._cell_index(), None, at
+    return view.graph._cell_index(), view, view.positions[at]
+
+
+def _kept(
+    view: ViewSource,
+    entity: str,
+    events: slice | np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The events among ``events`` (at source ``rows`` and window
+    ``cols``) of the rows ``view`` keeps: their ids, view rows, window
+    columns and source rows."""
+    mapped = view.row_map(entity)[rows]
+    keep = np.flatnonzero(mapped >= 0)
+    kept = keep + events.start if isinstance(events, slice) else events[keep]
+    return kept, mapped[keep], cols[keep], rows[keep]
+
+
 def window_cells(
     graph: TemporalGraph,
     attributes: Sequence[str],
@@ -108,11 +143,12 @@ def window_cells(
     ``None`` carries ``None`` in its tuple."""
     for name in attributes:
         graph.is_static(name)  # raises on an unknown attribute
-    index = graph._cell_index()
-    at = np.asarray(positions, dtype=np.intp)
+    index, view, at = _read(graph, positions)
     events, cols = window_events(index.node_indptr, at)
-    rows = index.node_rows[events]
-    layers = [_layer(index, name, rows, events) for name in attributes]
+    rows = source_rows = index.node_rows[events]
+    if view is not None:
+        events, rows, cols, source_rows = _kept(view, "nodes", events, rows, cols)
+    layers = [_layer(index, name, source_rows, events) for name in attributes]
     codes, tuples = _tuple_codes(layers, rows.size)
     grid = np.full((graph.n_nodes, at.size), -1, dtype=np.int64)
     grid[rows, cols] = codes
@@ -207,10 +243,15 @@ def _edge_cells(
     A dangling edge present in the window raises when ``strict`` and is
     dropped otherwise.
     """
-    index = graph._cell_index()
-    events, ecols = window_events(index.edge_indptr, np.asarray(positions, np.intp))
+    index, view, at = _read(graph, positions)
+    events, ecols = window_events(index.edge_indptr, at)
     erows = index.edge_rows[events]
-    src, dst = (rows[erows] for rows in graph._endpoint_rows())
+    if view is None:
+        src, dst = (rows[erows] for rows in graph._endpoint_rows())
+    else:
+        _, erows, ecols, source_rows = _kept(view, "edges", events, erows, ecols)
+        nodes = view.row_map("nodes")
+        src, dst = (nodes[rows[source_rows]] for rows in view.graph._endpoint_rows())
     resolved = (src >= 0) & (dst >= 0)
     if strict and not resolved.all():
         raise _dangling_error(graph, int(erows[~resolved].min()))

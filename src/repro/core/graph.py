@@ -17,6 +17,7 @@ DBLP, rating precedence in MovieLens).
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -27,7 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .cells import CellIndex
 
 from ..frames import LabeledFrame
-from ..storage.base import CarriedState, resolve_endpoint_rows
+from ..frames.errors import LabelError
+from ..storage.base import (
+    CarriedState,
+    StorageFrames,
+    ViewSource,
+    resolve_endpoint_rows,
+)
+from .cells import _increasing
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
 
@@ -41,6 +49,11 @@ class GraphIntegrityError(ValidationError):
     """The arrays handed to :class:`TemporalGraph` are mutually inconsistent."""
 
 
+#: Serializes the building of views' frames, so each view builds them
+#: once and publishes them whole.
+_BUILDING_FRAMES = threading.Lock()
+
+
 class TemporalGraph:
     """An interval-labeled temporal attributed graph.
 
@@ -49,19 +62,14 @@ class TemporalGraph:
     (matching node sets, matching time columns, edge endpoints present in
     the node array); set ``validate=False`` to skip the endpoint activity
     check when building very large graphs from a trusted generator.
+
+    A graph made by :meth:`take` -- every operator result -- is a *view*:
+    it holds its source graph, the rows it keeps and its timeline, and
+    builds its frames only when something reads them.  Until then the
+    aggregation kernel reads it through its source's cell index.
     """
 
-    __slots__ = (
-        "timeline",
-        "node_presence",
-        "edge_presence",
-        "static_attrs",
-        "varying_attrs",
-        "edge_attrs",
-        "_storage_name",
-        "_storage",
-        "_carried",
-    )
+    __slots__ = ("timeline", "_frames", "_storage_name", "_storage", "_carried")
 
     def __init__(
         self,
@@ -75,11 +83,15 @@ class TemporalGraph:
         storage: "GraphStorageBackend | str | None" = None,
     ) -> None:
         self.timeline = timeline
-        self.node_presence = node_presence
-        self.edge_presence = edge_presence
-        self.static_attrs = static_attrs
-        self.varying_attrs = dict(varying_attrs)
-        self.edge_attrs = edge_attrs
+        #: The frames, published together; ``None`` in a view until built.
+        self._frames: StorageFrames | None = StorageFrames(
+            timeline.labels,
+            node_presence,
+            edge_presence,
+            static_attrs,
+            dict(varying_attrs),
+            edge_attrs,
+        )
         # ``storage`` selects the physical backend (repro.storage): a
         # name, a prebuilt backend instance, or None = the
         # REPRO_STORAGE_BACKEND env default.  The backend itself is
@@ -98,6 +110,75 @@ class TemporalGraph:
         self._check_schema()
         if validate:
             self._check_integrity()
+
+    @classmethod
+    def _view(
+        cls, source: ViewSource, timeline: Timeline, storage: str | None
+    ) -> "TemporalGraph":
+        """A view of ``source`` over ``timeline``, pinned to ``storage``."""
+        graph = cls.__new__(cls)
+        graph.timeline = timeline
+        graph._frames = None
+        graph._storage_name = storage
+        graph._storage = None
+        graph._carried = CarriedState()
+        graph._carried.source = source
+        return graph
+
+    # ------------------------------------------------------------------
+    # Frames
+    # ------------------------------------------------------------------
+
+    def _own_frames(self) -> StorageFrames:
+        """This graph's frames: a view builds them on the first call."""
+        frames = self._frames
+        if frames is None:
+            with _BUILDING_FRAMES:
+                frames = self._frames
+                if frames is None:
+                    carried = self._carried
+                    source = carried.source
+                    assert source is not None
+                    frames = _taken_frames(source, self.timeline)
+                    self._frames = frames
+                    source.framed = True
+                    carried._settle()
+        return frames
+
+    def _schema(self) -> StorageFrames:
+        """Frames with this graph's attribute columns: its own, or, in a
+        view that has not built its frames, its source's."""
+        frames = self._frames
+        if frames is None:
+            source = self._carried.source
+            # None: the view built its frames meanwhile and let go of it.
+            frames = self._own_frames() if source is None else source.graph._own_frames()
+        return frames
+
+    @property
+    def node_presence(self) -> LabeledFrame:
+        """**V**: one row per node, one column per time point."""
+        return self._own_frames().node_presence
+
+    @property
+    def edge_presence(self) -> LabeledFrame:
+        """**E**: one row per ``(u, v)`` edge, one column per time point."""
+        return self._own_frames().edge_presence
+
+    @property
+    def static_attrs(self) -> LabeledFrame:
+        """**S**: one row per node, one column per static attribute."""
+        return self._own_frames().static_attrs
+
+    @property
+    def varying_attrs(self) -> dict[str, LabeledFrame]:
+        """**A_i** by name: node rows, time columns, ``None`` where absent."""
+        return self._own_frames().varying_attrs
+
+    @property
+    def edge_attrs(self) -> LabeledFrame | None:
+        """Static edge attributes (edge rows), or ``None``."""
+        return self._own_frames().edge_attrs
 
     # ------------------------------------------------------------------
     # Validation
@@ -186,9 +267,11 @@ class TemporalGraph:
         return self._storage
 
     def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The endpoint rows this graph already holds -- its backend's,
-        or those carried to it -- without resolving any; ``None`` when
-        neither exists."""
+        """The endpoint rows this graph holds -- its backend's, or those
+        carried to it -- or, in a view, derives from its source's, without
+        resolving any from its own labels; ``None`` when it has none."""
+        if self._carried.source is not None:
+            return self._endpoint_rows()
         if self._storage is None:
             return self._carried.endpoints
         return self._storage._resolved_endpoint_rows()
@@ -200,7 +283,7 @@ class TemporalGraph:
         from the labels on first use."""
         if self._storage is not None:
             return self._storage.endpoint_rows()
-        return self._carried.endpoint_rows(self.node_presence, self.edge_presence)
+        return self._carried.endpoint_rows(self)
 
     def _cell_index(self) -> "CellIndex":
         """The cell index the kernel reads (:mod:`repro.core.cells`),
@@ -212,15 +295,20 @@ class TemporalGraph:
         self, storage: "GraphStorageBackend | str"
     ) -> "TemporalGraph":
         """A new graph over the same frames pinned to ``storage``, sharing
-        this graph's endpoint rows and cell index."""
+        this graph's endpoint rows and cell index (a view first builds
+        its frames and derives both, so that it lets go of its source)."""
+        frames = self._own_frames()
+        if self._carried.source is not None:
+            self._endpoint_rows()
+            self._cell_index()
         graph = TemporalGraph(
             timeline=self.timeline,
-            node_presence=self.node_presence,
-            edge_presence=self.edge_presence,
-            static_attrs=self.static_attrs,
-            varying_attrs=self.varying_attrs,
+            node_presence=frames.node_presence,
+            edge_presence=frames.edge_presence,
+            static_attrs=frames.static_attrs,
+            varying_attrs=frames.varying_attrs,
             validate=False,
-            edge_attrs=self.edge_attrs,
+            edge_attrs=frames.edge_attrs,
             storage=storage,
         )
         graph._carried = self._carried
@@ -256,31 +344,47 @@ class TemporalGraph:
 
     @property
     def n_nodes(self) -> int:
-        return self.node_presence.n_rows
+        frames = self._frames
+        if frames is None:
+            source = self._carried.source
+            if source is not None:
+                return int(source.node_rows.size)
+            frames = self._own_frames()  # the view built them meanwhile
+        return frames.node_presence.n_rows
 
     @property
     def n_edges(self) -> int:
-        return self.edge_presence.n_rows
+        frames = self._frames
+        if frames is None:
+            source = self._carried.source
+            if source is not None:
+                return int(source.edge_rows.size)
+            frames = self._own_frames()  # the view built them meanwhile
+        return frames.edge_presence.n_rows
 
     @property
     def static_attribute_names(self) -> tuple[str, ...]:
-        return tuple(str(c) for c in self.static_attrs.col_labels)
+        return tuple(str(c) for c in self._schema().static_attrs.col_labels)
 
     @property
     def varying_attribute_names(self) -> tuple[str, ...]:
-        return tuple(self.varying_attrs)
+        return tuple(self._schema().varying_attrs)
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
         """Static attributes first, then time-varying ones."""
-        return self.static_attribute_names + self.varying_attribute_names
+        frames = self._schema()
+        return tuple(str(c) for c in frames.static_attrs.col_labels) + tuple(
+            frames.varying_attrs
+        )
 
     @property
     def edge_attribute_names(self) -> tuple[str, ...]:
         """Names of the (static) edge attributes; empty when none exist."""
-        if self.edge_attrs is None:
+        edge_attrs = self._schema().edge_attrs
+        if edge_attrs is None:
             return ()
-        return tuple(str(c) for c in self.edge_attrs.col_labels)
+        return tuple(str(c) for c in edge_attrs.col_labels)
 
     def edge_attribute_value(self, edge: EdgeId, attribute: str) -> Any:
         """The value of one static edge attribute on one edge."""
@@ -290,9 +394,10 @@ class TemporalGraph:
 
     def is_static(self, attribute: str) -> bool:
         """Whether ``attribute`` is static (raises if unknown)."""
-        if attribute in set(self.static_attribute_names):
+        frames = self._schema()
+        if attribute in {str(c) for c in frames.static_attrs.col_labels}:
             return True
-        if attribute in self.varying_attrs:
+        if attribute in frames.varying_attrs:
             return False
         raise UnknownLabelError(
             f"unknown attribute {attribute!r}; graph has {self.attribute_names!r}"
@@ -381,50 +486,65 @@ class TemporalGraph:
         times: Sequence[Hashable],
         validate: bool = False,
     ) -> "TemporalGraph":
-        """:meth:`restricted` by node and edge row *positions*.
+        """:meth:`restricted` by node and edge row *positions*: a view.
 
-        The frames of each axis share one label tuple and one row index
-        (built on the first label lookup), as the time-columned frames
-        share the timeline's positions as their column index.  The new
-        graph derives its endpoint rows and cell index from this graph's,
-        on its first kernel call.
+        The view holds the graph that owns the frames (this one, or this
+        view's own source), the kept rows of it and the timeline, and
+        builds its frames on first read, exactly as a copy made now would
+        be: the frames of each axis share one label tuple and one row
+        index (built on the first label lookup), and the time-columned
+        ones the timeline's positions as their column index.  Repeated
+        or unordered rows are checked now.  The view derives its endpoint
+        rows and cell index from its source's when it needs its own.
         """
         timeline = Timeline(times)
-        node_pos = np.asarray(node_rows, dtype=np.intp)
-        edge_pos = np.asarray(edge_rows, dtype=np.intp)
-        nodes = self.node_presence._row_axis(node_pos)
-        edges = self.edge_presence._row_axis(edge_pos)
-        columns = self.node_presence._col_axis(timeline.labels, timeline.positions)
-        graph = TemporalGraph(
-            timeline=timeline,
-            node_presence=self.node_presence._taken(node_pos, nodes, columns),
-            edge_presence=self.edge_presence._taken(edge_pos, edges, columns),
-            static_attrs=self.static_attrs._taken(node_pos, nodes),
-            varying_attrs={
-                name: frame._taken(node_pos, nodes, columns)
-                for name, frame in self.varying_attrs.items()
-            },
-            validate=validate,
-            edge_attrs=(
-                self.edge_attrs._taken(edge_pos, edges)
-                if self.edge_attrs is not None
-                else None
-            ),
+        index = self.timeline.positions
+        positions = np.fromiter(
+            (index.get(t, -1) for t in timeline.labels), np.intp, len(timeline)
+        )
+        if (positions < 0).any():
+            missing = timeline.labels[int(np.argmax(positions < 0))]
+            raise LabelError(f"unknown column label: {missing!r}")
+        node_pos = _row_positions(node_rows, self.n_nodes)
+        edge_pos = _row_positions(edge_rows, self.n_edges)
+        source = self._carried.source
+        owner: TemporalGraph = self
+        if source is not None:
+            owner = source.graph
+            node_pos = source.node_rows[node_pos]
+            edge_pos = source.edge_rows[edge_pos]
+            positions = source.positions[positions]
+        for rows, frame in ((node_pos, owner.node_presence), (edge_pos, owner.edge_presence)):
+            if not _increasing(rows):  # so may repeat a row
+                frame._row_axis(rows)  # raises on a repeated row's label
+        graph = TemporalGraph._view(
+            ViewSource(owner, node_pos, edge_pos, positions),
+            timeline,
             # Propagate the backend *selection*, never the instance: the
-            # restricted graph's arrays differ, so it builds its own.
-            storage=self._storage_name,
+            # view's arrays differ, so it builds its own.
+            self._storage_name,
         )
-        graph._carried.source = (
-            self,
-            node_pos.astype(np.int32),
-            edge_pos.astype(np.int32),
-            timeline.labels,
-        )
+        if validate:
+            graph._check_integrity()
         return graph
 
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A view pickles its own frames, never its source.
+        return {
+            "timeline": self.timeline,
+            "_frames": self._own_frames(),
+            "_storage_name": self._storage_name,
+            "_storage": self._storage,
+            "_carried": self._carried,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
@@ -448,6 +568,37 @@ class TemporalGraph:
             f"{len(self.timeline)} time points, "
             f"attrs={list(self.attribute_names)!r})"
         )
+
+
+def _row_positions(rows: Sequence[int], n: int) -> np.ndarray:
+    """``rows`` as positions in ``0..n-1``; negative ones count from the
+    end and others out of range raise, as numpy indexing does."""
+    positions = np.asarray(rows, dtype=np.intp).reshape(-1)
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        positions = np.arange(n)[positions]
+    return positions
+
+
+def _taken_frames(source: ViewSource, timeline: Timeline) -> StorageFrames:
+    """The frames of the view of ``source`` over ``timeline``: the kept
+    rows and time columns of every frame of the source's graph."""
+    owner = source.graph
+    node_pos, edge_pos = source.node_rows, source.edge_rows
+    nodes = owner.node_presence._row_axis(node_pos)
+    edges = owner.edge_presence._row_axis(edge_pos)
+    columns = owner.node_presence._col_axis(timeline.labels, timeline.positions)
+    edge_attrs = owner.edge_attrs
+    return StorageFrames(
+        timeline.labels,
+        owner.node_presence._taken(node_pos, nodes, columns),
+        owner.edge_presence._taken(edge_pos, edges, columns),
+        owner.static_attrs._taken(node_pos, nodes),
+        {
+            name: frame._taken(node_pos, nodes, columns)
+            for name, frame in owner.varying_attrs.items()
+        },
+        edge_attrs._taken(edge_pos, edges) if edge_attrs is not None else None,
+    )
 
 
 class TemporalGraphBuilder:

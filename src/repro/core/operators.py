@@ -13,7 +13,9 @@ selection rules of Section 4.1:
 
 All operators return new :class:`TemporalGraph` instances whose timeline
 is the ordered union of the input time sets (for the difference: ``T1``),
-with every attribute array restricted consistently.
+with every attribute array restricted consistently.  An operator costs
+its presence masks: the result is a view (:meth:`TemporalGraph.take`)
+that builds its frames only when something reads them.
 """
 
 from __future__ import annotations

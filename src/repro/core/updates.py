@@ -99,8 +99,12 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     the chain shares, where only the new labels, index entries and edge
     rows are written (the tip/fork rule of :mod:`repro.core.cells`).  A
     cell index the parent holds is extended by the new column
-    (:meth:`repro.core.cells.CellIndex.extended`).  What the parent's
-    frames, indexes and arrays read never changes.
+    (:meth:`repro.core.cells.CellIndex.extended`).  A parent that is a
+    view (an operator result) builds its frames and derives its endpoint
+    rows from its source's to hand them on, and its cell index when its
+    source holds one (else, like any parent without an index, it hands
+    none on).  What the parent's frames, indexes and arrays read never
+    changes.
     """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
@@ -272,6 +276,9 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     carried.frames = frames
     carried.endpoints = endpoints
     parent_cells = graph._carried.cells
+    source = graph._carried.source
+    if source is not None and source.graph._carried.cells is not None:
+        parent_cells = graph._cell_index()
     if parent_cells is not None:
         carried.cells = parent_cells.extended(
             all_nodes,

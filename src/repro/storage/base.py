@@ -309,6 +309,53 @@ def _endpoint_pairs(
     return np.array(pairs, dtype=np.int32).reshape(len(pairs), 2).T
 
 
+class ViewSource:
+    """What a view (a graph made by ``TemporalGraph.take``) reads: the
+    graph that owns the frames it keeps rows of, the kept node and edge
+    rows, in the view's order, and the positions of the view's time
+    points on that graph's timeline.  Every operator result is a view.
+    """
+
+    __slots__ = ("graph", "node_rows", "edge_rows", "positions", "framed", "_maps")
+
+    def __init__(
+        self,
+        graph: "TemporalGraph",
+        node_rows: np.ndarray,
+        edge_rows: np.ndarray,
+        positions: np.ndarray,
+    ) -> None:
+        self.graph = graph
+        self.node_rows = node_rows
+        self.edge_rows = edge_rows
+        self.positions = positions
+        #: Whether the view has built its own frames.
+        self.framed = False
+        self._maps: dict[str, np.ndarray] = {}
+
+    def row_map(self, entity: str) -> np.ndarray:
+        """``int32``: the view row of each of the source's ``entity`` rows,
+        ``-1`` for one the view does not keep, and a last ``-1`` slot, so
+        that a source's ``-1`` endpoint row maps to ``-1``.  Built once."""
+        mapped = self._maps.get(entity)
+        if mapped is None:
+            kept = self.node_rows if entity == "nodes" else self.edge_rows
+            size = self.graph.n_nodes if entity == "nodes" else self.graph.n_edges
+            mapped = np.full(size + 1, -1, dtype=np.int32)
+            mapped[kept] = np.arange(kept.size, dtype=np.int32)
+            self._maps[entity] = mapped
+        return mapped
+
+    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The view's endpoint rows, from the source's: an endpoint whose
+        node the view does not keep is ``-1``, like an unresolved one."""
+        nodes = self.row_map("nodes")
+        src, dst = (nodes[side[self.edge_rows]] for side in self.graph._endpoint_rows())
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        return src, dst
+
+
 class CarriedState:
     """What a graph derives from its frames once and hands on: its
     :meth:`GraphStorageBackend.endpoint_rows` and its cell index
@@ -317,10 +364,10 @@ class CarriedState:
 
     One instance serves every graph over the same frames (``with_storage``
     shares it) and the backend built from them.  ``append_snapshot``
-    carries both parts from the parent version.  A graph made by
-    ``TemporalGraph.take`` keeps its ``source``, ``(parent, node rows,
-    edge rows, times)``, and derives each part from the parent's on
-    first use; otherwise a part is built from the frames on first use.
+    carries both parts from the parent version.  A view keeps its
+    ``source`` (:class:`ViewSource`) and derives each part from the
+    source's on first use; otherwise a part is built from the frames on
+    first use.
     """
 
     __slots__ = ("endpoints", "cells", "frames", "source")
@@ -332,26 +379,24 @@ class CarriedState:
         #: (:class:`repro.core.cells._Lineage`) whose prefixes are this
         #: graph's frames, and the extension that wrote them.
         self.frames: tuple[Any, int] | None = None
-        #: ``(parent graph, node rows, edge rows, times)`` of a graph made
-        #: by ``take``, until both parts are derived from the parent's.
-        self.source: tuple[Any, np.ndarray, np.ndarray, tuple[Hashable, ...]] | None = None
+        #: The source of a view, until the view holds its own frames,
+        #: endpoint rows and cell index.
+        self.source: ViewSource | None = None
 
-    def endpoint_rows(
-        self, nodes: LabeledFrame, edges: LabeledFrame
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint rows of the frames on the node and edge axes:
-        held, derived from the source's by remapping rows, or resolved
-        from the frames' row labels (the only case that reads them)."""
+    def endpoint_rows(self, frames: Any) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint rows of the graph this state belongs to: held,
+        derived from the source's by remapping rows, or resolved from the
+        row labels of ``frames``' node and edge presence (a graph or its
+        :class:`StorageFrames`; the only case that reads them)."""
         rows = self.endpoints
         if rows is None:
             source = self.source
             if source is None:
-                rows = resolve_endpoint_rows(nodes.row_labels, edges.row_labels)
-            else:
-                parent, node_rows, edge_rows, _ = source
-                rows = _taken_endpoint_rows(
-                    parent._endpoint_rows(), parent.n_nodes, node_rows, edge_rows
+                rows = resolve_endpoint_rows(
+                    frames.node_presence.row_labels, frames.edge_presence.row_labels
                 )
+            else:
+                rows = source.endpoint_rows()
             self.endpoints = rows
             self._settle()
         return rows
@@ -367,16 +412,23 @@ class CarriedState:
             if source is None:
                 index = build_cells(graph)
             else:
-                parent, node_rows, edge_rows, times = source
-                positions = [parent.timeline.index_of(t) for t in times]
-                index = parent._cell_index().taken(node_rows, edge_rows, positions)
+                index = source.graph._cell_index().taken(
+                    source.node_rows, source.edge_rows, source.positions
+                )
             self.cells = index
             self._settle()
         return index
 
     def _settle(self) -> None:
-        """Let go of the parent once both parts are derived from it."""
-        if self.endpoints is not None and self.cells is not None:
+        """Let go of a view's source once the view holds its own frames,
+        endpoint rows and cell index."""
+        source = self.source
+        if (
+            source is not None
+            and source.framed
+            and self.endpoints is not None
+            and self.cells is not None
+        ):
             self.source = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -390,24 +442,6 @@ class CarriedState:
         self.cells = None
         self.frames = None
         self.source = None
-
-
-def _taken_endpoint_rows(
-    rows: tuple[np.ndarray, np.ndarray],
-    n_nodes: int,
-    node_rows: np.ndarray,
-    edge_rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint rows of a graph that keeps ``node_rows`` and
-    ``edge_rows`` of one whose endpoint rows are ``rows``: an endpoint
-    whose node is not kept becomes ``-1``, like an unresolved one."""
-    # The extra last slot maps the parent's -1 rows to -1.
-    remap = np.full(n_nodes + 1, -1, dtype=np.int32)
-    remap[node_rows] = np.arange(node_rows.size, dtype=np.int32)
-    src, dst = (remap[side[edge_rows]] for side in rows)
-    src.flags.writeable = False
-    dst.flags.writeable = False
-    return src, dst
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

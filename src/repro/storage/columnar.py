@@ -43,6 +43,7 @@ import numpy as np
 
 from ..errors import LabelError, StorageError
 from ..frames import LabeledFrame
+from ..frames.labeled_frame import RowPrefix
 from .base import CarriedState, GraphStorageBackend, StorageFrames, register_backend
 from .dense import _object_array_nbytes
 
@@ -125,6 +126,12 @@ def _pack(matrix: np.ndarray) -> np.ndarray:
     return packed
 
 
+def _labels(rows: tuple[Hashable, ...] | RowPrefix) -> tuple[Hashable, ...]:
+    """The labels of ``rows`` as a tuple (a :class:`RowPrefix` builds it
+    on the first call)."""
+    return rows if isinstance(rows, tuple) else rows.labels()
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     if array.flags.writeable:
         array.flags.writeable = False
@@ -140,8 +147,8 @@ class ColumnarBackend(GraphStorageBackend):
     def __init__(
         self,
         times: tuple[Hashable, ...],
-        node_labels: tuple[Hashable, ...],
-        edge_labels: tuple[Hashable, ...],
+        node_labels: tuple[Hashable, ...] | RowPrefix,
+        edge_labels: tuple[Hashable, ...] | RowPrefix,
         node_packed: np.ndarray,
         edge_packed: np.ndarray,
         node_index_arrays: tuple[np.ndarray, np.ndarray],
@@ -161,6 +168,9 @@ class ColumnarBackend(GraphStorageBackend):
         mmap: bool = False,
     ) -> None:
         self._times = times
+        #: The labels, or the shared rows of an appended version's frames,
+        #: whose tuple is built on the first read of ``node_labels`` or
+        #: ``edge_labels``.
         self._node_labels = node_labels
         self._edge_labels = edge_labels
         self._time_index = {t: i for i, t in enumerate(times)}
@@ -208,10 +218,10 @@ class ColumnarBackend(GraphStorageBackend):
     ) -> "ColumnarBackend":
         node_bool = frames.node_presence.values.astype(bool)
         edge_bool = frames.edge_presence.values.astype(bool)
-        node_labels = frames.node_presence.row_labels
-        edge_labels = frames.edge_presence.row_labels
+        node_labels = frames.node_presence._row_labels
+        edge_labels = frames.edge_presence._row_labels
 
-        src, dst = carried.endpoint_rows(frames.node_presence, frames.edge_presence)
+        src, dst = carried.endpoint_rows(frames)
 
         static_names = tuple(str(c) for c in frames.static_attrs.col_labels)
         static_values = frames.static_attrs.values
@@ -269,23 +279,22 @@ class ColumnarBackend(GraphStorageBackend):
 
     def to_frames(self) -> StorageFrames:
         times = self._times
+        node_labels, edge_labels = self.node_labels, self.edge_labels
         node_presence = LabeledFrame(
-            self._node_labels, times, self.presence_matrix("nodes").astype(np.uint8)
+            node_labels, times, self.presence_matrix("nodes").astype(np.uint8)
         )
         edge_presence = LabeledFrame(
-            self._edge_labels, times, self.presence_matrix("edges").astype(np.uint8)
+            edge_labels, times, self.presence_matrix("edges").astype(np.uint8)
         )
         static_values = np.empty(
             (len(self._node_labels), len(self._static_names)), dtype=object
         )
         for col, pool in enumerate(self._static_pools):
             static_values[:, col] = _decode(self._static_codes[:, col], pool)
-        static_attrs = LabeledFrame(
-            self._node_labels, self._static_names, static_values
-        )
+        static_attrs = LabeledFrame(node_labels, self._static_names, static_values)
         varying_attrs = {
             name: LabeledFrame(
-                self._node_labels,
+                node_labels,
                 times,
                 _decode(self._varying_codes[name], self._varying_pools[name]),
             )
@@ -302,9 +311,7 @@ class ColumnarBackend(GraphStorageBackend):
                 attr_values[:, col] = _decode(
                     self._edge_attr_codes[:, col], pool
                 )
-            edge_attrs = LabeledFrame(
-                self._edge_labels, self._edge_attr_names, attr_values
-            )
+            edge_attrs = LabeledFrame(edge_labels, self._edge_attr_names, attr_values)
         return StorageFrames(
             times=times,
             node_presence=node_presence,
@@ -324,11 +331,11 @@ class ColumnarBackend(GraphStorageBackend):
 
     @property
     def node_labels(self) -> tuple[Hashable, ...]:
-        return self._node_labels
+        return _labels(self._node_labels)
 
     @property
     def edge_labels(self) -> tuple[Hashable, ...]:
-        return self._edge_labels
+        return _labels(self._edge_labels)
 
     @property
     def path(self) -> str | None:
@@ -518,8 +525,8 @@ class ColumnarBackend(GraphStorageBackend):
         meta = {
             "layout_version": _LAYOUT_VERSION,
             "times": self._times,
-            "node_labels": self._node_labels,
-            "edge_labels": self._edge_labels,
+            "node_labels": self.node_labels,
+            "edge_labels": self.edge_labels,
             "static_names": self._static_names,
             "static_pools": self._static_pools,
             "varying_names": self._varying_names,
@@ -623,7 +630,10 @@ class ColumnarBackend(GraphStorageBackend):
             # process maps the same files instead of copying arrays.
             return {"path": self._path, "mmap": self._mmap}
         state = dict(self.__dict__)
-        # Materialize any views so the pickle is self-contained.
+        # Materialize any views and shared rows so the pickle is
+        # self-contained.
+        state["_node_labels"] = self.node_labels
+        state["_edge_labels"] = self.edge_labels
         state["_node_packed"] = np.asarray(self._node_packed).copy()
         state["_edge_packed"] = np.asarray(self._edge_packed).copy()
         return {"state": state}

@@ -141,8 +141,7 @@ class DenseBackend(GraphStorageBackend):
         raise LabelError(f"unknown attribute {name!r}")
 
     def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        frames = self._frames
-        return self._carried.endpoint_rows(frames.node_presence, frames.edge_presence)
+        return self._carried.endpoint_rows(self._frames)
 
     def _resolved_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._carried.endpoints

@@ -299,21 +299,24 @@ class ExplorationView(StreamingView):
             self._absorb(presence[:, index], index)
 
     def extend(self, graph: TemporalGraph, update: SnapshotUpdate) -> None:
-        labels = graph.storage.entity_labels(self.entity.value)
-        n_rows = len(labels)
+        nodes = self.entity is EntityKind.NODES
+        n_rows = graph.n_nodes if nodes else graph.n_edges
         previous_rows = self._old_mask.shape[0]
         self._old_mask = _padded(self._old_mask, n_rows)
         if self._new_mask is not None:
             self._new_mask = _padded(self._new_mask, n_rows)
         if self._match is not None and n_rows > previous_rows:
             # Delta path: resolve static tuples only for the rows this
-            # append introduced, never over the whole entity set.
+            # append introduced, never over the whole entity set, and
+            # read only their labels.
+            frame = graph.node_presence if nodes else graph.edge_presence
+            new_labels, _ = frame._row_axis(np.arange(previous_rows, n_rows))
             appended = static_match_mask(
                 graph,
                 self.entity,
                 self.attributes,
                 self.key,
-                entities=labels[previous_rows:],
+                entities=new_labels,
             )
             self._match = np.concatenate([self._match, appended])
         # Only the appended column is read, on either backend.

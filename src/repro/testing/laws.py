@@ -44,13 +44,18 @@ from ..core.cells import build_cells
 from ..core.evolution import EvolutionWeights
 from ..core.fast import check_no_dangling_edges
 from ..core.updates import split_history
-from ..errors import AggregationError, ConfigurationError, ExplorationError
+from ..errors import (
+    AggregationError,
+    ConfigurationError,
+    ExplorationError,
+    GraphTempoError,
+)
 from ..exploration.events import ChainEvaluator, EntityKind, EventCounter, EventType
 from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..materialize.streaming import AggregateTotalsView
 from ..storage.base import resolve_endpoint_rows
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
-from .generators import graph_to_maps, random_time_sets
+from .generators import graph_from_maps, graph_to_maps, random_time_sets
 from .reference import aggregate_reference, reference_chain
 
 __all__ = ["Law", "register_law", "law_registry", "get_laws"]
@@ -272,30 +277,123 @@ def _cells_problem(graph: TemporalGraph) -> str | None:
     return None
 
 
+def _view_outcomes(
+    graph: TemporalGraph,
+    attributes: list[str],
+    old: Sequence[Any],
+    new: Sequence[Any],
+) -> list[Any]:
+    """DIST and ALL aggregates and the evolution from ``old`` to ``new``
+    over ``graph``, each as its result or its error's type and message."""
+    outcomes: list[Any] = []
+    for call in (
+        functools.partial(aggregate, graph, attributes, True),
+        functools.partial(aggregate, graph, attributes, False),
+        functools.partial(aggregate_evolution, graph, old, new, attributes),
+    ):
+        try:
+            outcomes.append(call())
+        except GraphTempoError as error:
+            outcomes.append((type(error).__name__, str(error)))
+    return outcomes
+
+
+def _view_problem(view: TemporalGraph, rng: np.random.Generator) -> str | None:
+    """How reading a fresh view through its source's index differs from
+    reading the view rebuilt from scratch, or how its frames, once built,
+    differ from copies of its source's; ``None`` when neither does."""
+    source = view._carried.source
+    attributes = _some_attributes(rng, view)
+    old, new = random_time_sets(rng, view, n=2)
+    got = _view_outcomes(view, attributes, old, new)
+    # Only an error (a dangling edge) names labels, so builds the frames.
+    failed = any(isinstance(outcome, tuple) for outcome in got)
+    if not failed and (view._frames is not None or view._carried.cells is not None):
+        return f"aggregating a view over {view.timeline.labels!r} built its frames or index"
+    scratch = graph_from_maps(
+        **graph_to_maps(view), allow_dangling=True, storage=view.storage_name
+    )
+    # A rebuilt graph lacks an attribute no node holds a value of.
+    usable = [name for name in attributes if name in scratch.attribute_names]
+    if usable != attributes:
+        got = _view_outcomes(view, usable, old, new) if usable else []
+    want = _view_outcomes(scratch, usable, old, new) if usable else []
+    if got != want:
+        return (
+            f"reading a view over {view.timeline.labels!r} by {usable!r} "
+            f"diverges from its rebuilt graph: {got!r} != {want!r}"
+        )
+    if source is None:
+        return "a fresh view holds no source"
+    owner, times = source.graph, view.timeline.labels
+    copies = [
+        (view.node_presence, owner.node_presence.take(source.node_rows, times)),
+        (view.edge_presence, owner.edge_presence.take(source.edge_rows, times)),
+        (view.static_attrs, owner.static_attrs.take(source.node_rows)),
+    ]
+    copies += [
+        (frame, owner.varying_attrs[name].take(source.node_rows, times))
+        for name, frame in view.varying_attrs.items()
+    ]
+    if owner.edge_attrs is not None:
+        copies.append((view.edge_attrs, owner.edge_attrs.take(source.edge_rows)))
+    for frame, copy in copies:
+        if (
+            frame != copy
+            or frame.row_labels != copy.row_labels
+            or frame.values.dtype != copy.values.dtype
+        ):
+            return f"a view over {times!r} built frames unlike copies of its source's"
+    return None
+
+
 @register_law(
     "operator-cell-index",
     "an operator result derives its cell index and endpoint rows from its "
-    "input's, equal to those built from its own frames, two operators deep",
+    "input's, equal to those built from its own frames, two operators deep; "
+    "aggregates and evolutions over a fresh result, read through its "
+    "input's index, equal those over the result rebuilt from scratch, as "
+    "do its frames once built",
 )
 def _operator_cell_index(
     graph: TemporalGraph, rng: np.random.Generator
 ) -> str | None:
     w1, w2 = random_time_sets(rng, graph, n=2)
-    results = [
-        union(graph, w1, w2),
-        intersection(graph, w1, w2),
-        difference(graph, w1, w2),
-        project(graph, w1[:1]),
-    ]
+
+    def operator_results() -> list[TemporalGraph]:
+        return [
+            union(graph, w1, w2),
+            intersection(graph, w1, w2),
+            difference(graph, w1, w2),
+            project(graph, w1[:1]),
+        ]
+
+    results = operator_results()
     # One operator deeper: the first result's index is derived first.
-    nested = results[int(rng.integers(len(results)))]
+    deeper = int(rng.integers(len(results)))
+    nested = results[deeper]
     labels = nested.timeline.labels
     results.append(difference(nested, labels[:1], labels[1:]))
     for result in results:
         problem = _cells_problem(result) or _rows_problem(result)
         if problem:
             return problem
-    return None
+    # Fresh views, each read before it builds anything: each result, one
+    # two operators deep and one take of random rows, which may keep an
+    # edge without its endpoints, in any order.
+    views = operator_results()
+    for view in views:
+        problem = _view_problem(view, rng)
+        if problem:
+            return problem
+    problem = _view_problem(difference(views[deeper], labels[:1], labels[1:]), rng)
+    if problem:
+        return problem
+    node_rows = np.flatnonzero(rng.random(graph.n_nodes) < 0.7)
+    edge_rows = np.flatnonzero(rng.random(graph.n_edges) < 0.7)
+    if rng.random() < 0.5:
+        node_rows = rng.permutation(node_rows)
+    return _view_problem(graph.take(node_rows, edge_rows, _one_window(rng, graph)), rng)
 
 
 # ----------------------------------------------------------------------

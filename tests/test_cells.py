@@ -27,12 +27,15 @@ from repro.core import (
     difference,
     intersection,
     project,
+    snapshot_at,
     union,
 )
 from repro.core.cells import build_cells
-from repro.datasets import paper_example
+from repro.datasets import generate_dblp, paper_example
+from repro.frames.labeled_frame import RowPrefix
 from repro.storage import backend_names
 from repro.storage.base import resolve_endpoint_rows
+from repro.streaming import StreamingStore
 from repro.testing.generators import graph_from_maps, graph_to_maps
 from repro.testing.reference import aggregate_reference
 
@@ -303,14 +306,13 @@ class TestShared:
         assert sibling.storage.endpoint_rows()[0] is graph.storage.endpoint_rows()[0]
 
 
-@pytest.fixture()
-def resolutions(monkeypatch):
-    """Every full resolution of endpoint rows from labels, by edge count."""
-    calls = []
+def record_resolutions(monkeypatch, record):
+    """Make every full resolution of endpoint rows from labels call
+    ``record(nodes, edges)`` first."""
     original = repro.storage.base.resolve_endpoint_rows
 
-    def counting(nodes, edges):
-        calls.append(len(edges))
+    def recording(nodes, edges):
+        record(nodes, edges)
         return original(nodes, edges)
 
     for module in (
@@ -320,7 +322,14 @@ def resolutions(monkeypatch):
         repro.core.graph,
         repro.core.updates,
     ):
-        monkeypatch.setattr(module, "resolve_endpoint_rows", counting, raising=False)
+        monkeypatch.setattr(module, "resolve_endpoint_rows", recording, raising=False)
+
+
+@pytest.fixture()
+def resolutions(monkeypatch):
+    """Every full resolution of endpoint rows from labels, by edge count."""
+    calls = []
+    record_resolutions(monkeypatch, lambda nodes, edges: calls.append(len(edges)))
     return calls
 
 
@@ -342,6 +351,28 @@ class TestEndpointResolutions:
             session.evolution(["t0"], [label], ["gender"])
             assert session.graph.storage_name == storage
         assert resolutions == []
+
+    @pytest.mark.parametrize("storage", backend_names())
+    def test_appends_onto_an_operator_result_hand_on_derived_rows(
+        self, monkeypatch, storage
+    ):
+        graph = generate_dblp(0.02, seed=3).with_storage(storage)
+        labels = graph.timeline.labels
+        calls = []
+        record_resolutions(monkeypatch, lambda *labels: calls.append(labels))
+        store = StreamingStore(union(graph, labels[:-1]))
+        store.append_snapshot(snapshot_at(graph, labels[-1]))
+        assert store.graph._resolved_endpoint_rows() is not None
+        aggregate(store.graph, ["gender"])
+        # The union result derives its rows from the root's (only the
+        # root resolves from its own labels, at most once) or from its
+        # kept edges, and hands them on.
+        assert len(calls) <= 1
+        for nodes, edges in calls:
+            assert nodes is graph.nodes and edges is graph.edges
+        for frame in (store.graph.node_presence, store.graph.edge_presence):
+            assert isinstance(frame._row_labels, RowPrefix)
+            assert frame._row_labels._labels is None
 
 
 class TestKernelBuildsNoBackend:

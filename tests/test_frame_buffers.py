@@ -20,11 +20,23 @@ from repro.core import (
     union,
 )
 from repro.core.cells import _Lineage, extending
+from repro.exploration import EntityKind, EventType, Semantics
 from repro.frames import LabeledFrame
 from repro.frames.labeled_frame import RowPrefix
 from repro.serving import QueryServer
-from repro.streaming import StreamingStore
+from repro.storage import backend_names
+from repro.streaming import ExplorationView, StreamingStore
 from repro.testing.generators import graph_from_maps, graph_to_maps
+
+
+def assert_no_label_tuple(store):
+    """No appended version of ``store`` has built its label tuples: each
+    reads its labels and row index from the shared rows."""
+    for version in store.history()[1:]:
+        for frame in (version.graph.node_presence, version.graph.edge_presence):
+            rows = frame._row_labels
+            assert isinstance(rows, RowPrefix) and frame._row_index is rows
+            assert rows._labels is None
 
 
 def stream(appends, seed=0):
@@ -434,30 +446,60 @@ class TestSharedRowAxes:
         assert axes(clone) == axes(version)
 
     def test_serving_after_each_append_builds_no_label_tuple(self):
-        graph, updates = stream(12)
-        # A columnar backend keeps label tuples of its own.
-        store = StreamingStore(graph.with_storage("dense"))
-        server = QueryServer(store)
-        labels = graph.timeline.labels
-        try:
-            for update in updates:
-                store.append_snapshot(update)
-                labels = labels + (update.time,)
-                start, newest, previous = labels[max(0, len(labels) - 4)], labels[-1], labels[-2]
-                for text in (
-                    f"aggregate gender, level all over union [{start}..{newest}]",
-                    f"aggregate level distinct over union [{newest}]",
-                    f"evolution [{start}..{previous}] -> [{newest}] by gender",
-                    f"difference [{newest}], [{previous}]",
-                ):
-                    server.serve(text)
-        finally:
-            server.close()
-        for version in store.history()[1:]:
-            for frame in (version.graph.node_presence, version.graph.edge_presence):
-                rows = frame._row_labels
-                assert isinstance(rows, RowPrefix) and frame._row_index is rows
-                assert rows._labels is None
+        # Under every backend: a columnar one keeps the shared rows too.
+        for backend in backend_names():
+            graph, updates = stream(12)
+            store = StreamingStore(graph.with_storage(backend))
+            server = QueryServer(store)
+            labels = graph.timeline.labels
+            try:
+                for update in updates:
+                    store.append_snapshot(update)
+                    labels = labels + (update.time,)
+                    start, newest, previous = labels[max(0, len(labels) - 4)], labels[-1], labels[-2]
+                    for text in (
+                        f"aggregate gender, level all over union [{start}..{newest}]",
+                        f"aggregate level distinct over union [{newest}]",
+                        f"evolution [{start}..{previous}] -> [{newest}] by gender",
+                        f"difference [{newest}], [{previous}]",
+                    ):
+                        server.serve(text)
+            finally:
+                server.close()
+            assert_no_label_tuple(store)
+
+    def test_exploration_views_build_no_label_tuple(self):
+        graph, updates = stream(10)
+
+        def watches():
+            return [
+                ExplorationView(
+                    EventType.GROWTH,
+                    Semantics.UNION,
+                    EntityKind.NODES,
+                    attributes=["gender"],
+                    key=("f",),
+                    reference=0,
+                ),
+                ExplorationView(
+                    EventType.SHRINKAGE,
+                    Semantics.INTERSECTION,
+                    EntityKind.EDGES,
+                    attributes=["gender"],
+                    key=(("f",), ("m",)),
+                    reference=0,
+                ),
+            ]
+
+        views = watches()
+        store = StreamingStore(graph.with_storage("dense"), views=views)
+        for update in updates:
+            store.append_snapshot(update)
+        assert_no_label_tuple(store)
+        for view, rebuilt in zip(views, watches()):
+            rebuilt.rebuild(store.graph)
+            assert view.counts() == rebuilt.counts()
+            assert view.counts()
 
 
 class TestOneTimeIndex:
